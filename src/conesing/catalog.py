@@ -49,12 +49,13 @@ def _classify(divisor: QDivisorP1) -> CatalogEntry | None:
     triple = ConeTriple(divisor)
     if not cones.is_klt_cone(triple):
         return None
-    seifert = divisor.canonical_form().normalize_seifert()
+    canonical = divisor.canonical_form()
+    seifert = canonical.normalize_seifert()
     report = resolution.discrepancies(resolution.build_graph(seifert))
     if not report.is_klt:
         return None
     return CatalogEntry(
-        triple=ConeTriple(divisor.canonical_form()),
+        triple=ConeTriple(canonical),
         seifert=seifert,
         mld=report.mld,
         fano_angle=cones.fano_angle(triple),

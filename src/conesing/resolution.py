@@ -4,9 +4,13 @@ The graph of a cone surface singularity has one central curve (the vertex
 blow-up divisor) with Hirzebruch-Jung chains attached.  Log discrepancies
 solve the adjunction system
     sum_j (a_j - 1) (E_j . E_i) = -2 - E_i^2     for every i,
-valid because every exceptional curve here is rational.  The minimum over
-the graph is the minimal log discrepancy of the germ; two independent
-oracles (blow-up simulation, toric lattice enumeration) confirm this.
+valid because every exceptional curve here is rational.  The graph is a
+tree, so the system is solved by elimination from the leaves towards the
+central node in O(n), and the answer is re-checked exactly node by node.
+The dense ``intersection_matrix`` is kept as an independent oracle.  For an
+lc germ the minimum over the graph is its minimal log discrepancy; two
+independent oracles (blow-up simulation, toric lattice enumeration) confirm
+this.
 """
 from __future__ import annotations
 
@@ -16,13 +20,7 @@ from math import gcd
 
 from .divisors import SeifertData
 from .errors import NotContractible
-from .rationals import (
-    RationalMatrix,
-    hj_expand,
-    is_negative_definite,
-    lcm_of_denominators,
-    solve_linear,
-)
+from .rationals import RationalMatrix, hj_expand, lcm_of_denominators, solve_linear
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,11 @@ class DualGraph:
 @dataclass(frozen=True)
 class DiscrepancyReport:
     """Exact log discrepancies of a graph, their minimum, and the induced
-    klt flag and canonical (Gorenstein) index."""
+    klt flag and canonical (Gorenstein) index.
+
+    ``mld`` is the minimum over the graph.  It is the mld of the germ only
+    when the germ is lc (``mld >= 0``); otherwise the mld is -infinity.
+    """
 
     log_discrepancies: tuple[Fraction, ...]
     mld: Fraction
@@ -125,6 +127,7 @@ def build_graph(seifert: SeifertData) -> DualGraph:
 
 
 def intersection_matrix(graph: DualGraph) -> RationalMatrix:
+    """Dense intersection matrix; an oracle for the tree solve below."""
     n = len(graph.nodes)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i, node in enumerate(graph.nodes):
@@ -138,13 +141,41 @@ def intersection_matrix(graph: DualGraph) -> RationalMatrix:
 def discrepancies(graph: DualGraph) -> DiscrepancyReport:
     """Solve the adjunction system exactly and report mld, klt status and
     the lcm of the discrepancy denominators (the canonical index, by the
-    numerical Q-Cartier criterion valid for these rational singularities)."""
-    matrix = intersection_matrix(graph)
-    if not is_negative_definite(matrix):
-        raise NotContractible("intersection matrix is not negative definite")
-    rhs = [Fraction(-2 - node.self_intersection) for node in graph.nodes]
-    shifted = solve_linear(matrix, rhs)
-    log_discrepancies = tuple(1 + x for x in shifted)
+    numerical Q-Cartier criterion valid for these rational singularities).
+
+    With x_i = a_i - 1 the system reads E_i^2 x_i + sum_{j ~ i} x_j = r_i,
+    r_i = -2 - E_i^2.  Leaves are eliminated towards the central node by the
+    Schur updates d_p -= 1/d_v, r_p -= r_v/d_v, then x_v = (r_v - x_p)/d_v
+    going back down.  The d_v are the pivots of an LDL^T elimination, so
+    the matrix is negative definite iff every one of them is negative.
+    """
+    adjacency = graph.adjacency()
+    root = graph.central_index
+    parent = {root: None}
+    order = [root]  # breadth first: every parent before its children
+    for v in order:
+        for w in adjacency[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    squares = [node.self_intersection for node in graph.nodes]
+    d = [Fraction(e) for e in squares]
+    r = [Fraction(-2 - e) for e in squares]
+    for v in reversed(order):
+        if d[v] >= 0:
+            raise NotContractible("intersection matrix is not negative definite")
+        p = parent[v]
+        if p is not None:
+            d[p] -= 1 / d[v]
+            r[p] -= r[v] / d[v]
+    x = [Fraction(0)] * len(d)
+    x[root] = r[root] / d[root]
+    for v in order[1:]:
+        x[v] = (r[v] - x[parent[v]]) / d[v]
+    for i, e in enumerate(squares):
+        if e * x[i] + sum(x[j] for j in adjacency[i]) != -2 - e:
+            raise RuntimeError("exact solve verification failed")
+    log_discrepancies = tuple(1 + value for value in x)
     mld = min(log_discrepancies)
     return DiscrepancyReport(
         log_discrepancies=log_discrepancies,

@@ -1,13 +1,16 @@
 import random
+import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conesing.cones import ConeTriple, is_klt_cone, vertex_log_discrepancy
 from conesing.divisors import INF, PointP1, QDivisorP1, SeifertData
 from conesing.errors import NotContractible
-from conesing.rationals import RationalMatrix, is_negative_definite
+from conesing.rationals import RationalMatrix, is_negative_definite, solve_linear
 from conesing.resolution import (
     DualGraph,
     GraphNode,
@@ -216,3 +219,58 @@ def test_negative_definite_iff_positive_degree():
         else:
             assert not is_negative_definite(matrix)
             nonpositive += 1
+
+
+@st.composite
+def seifert_data(draw) -> SeifertData:
+    """1 to 5 branches; small b, so degree <= 0 is drawn often."""
+    branches = []
+    for _ in range(draw(st.integers(1, 5))):
+        alpha = draw(st.integers(2, 9))
+        beta = draw(st.sampled_from([b for b in range(1, alpha) if gcd(alpha, b) == 1]))
+        branches.append((alpha, beta))
+    return SeifertData(draw(st.integers(1, 4)), tuple(branches))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seifert_data())
+def test_tree_solve_matches_dense_oracle(data):
+    graph = build_graph(data)
+    matrix = intersection_matrix(graph)
+    definite = is_negative_definite(matrix)
+    # Orlik-Wagreich / Pinkham: contractible iff the Seifert degree is positive
+    assert definite == (data.degree() > 0)
+    if not definite:
+        with pytest.raises(NotContractible):
+            discrepancies(graph)
+        return
+    rhs = [-2 - node.self_intersection for node in graph.nodes]
+    expected = tuple(1 + x for x in solve_linear(matrix, rhs))
+    report = discrepancies(graph)
+    assert report.log_discrepancies == expected
+    assert report.mld == min(expected)
+    assert report.is_klt == all(a > 0 for a in expected)
+    assert report.canonical_index == lcm(*(a.denominator for a in expected))
+
+
+def _central_by_formula(data: SeifertData) -> Fraction:
+    """Vertex identity a_center = (2 - sum(1 - 1/alpha)) / degree."""
+    boundary = sum((1 - Fraction(1, alpha) for alpha, _ in data.branches), Fraction(0))
+    return (2 - boundary) / data.degree()
+
+
+@pytest.mark.parametrize(
+    "data, size",
+    [
+        (SeifertData(4, ((101, 100),) * 4), 401),  # star: four arms of 100 (-2)s
+        (SeifertData(3, ((1000, 999), (1001, 1000))), 2000),  # chain through a -3
+    ],
+    ids=["star-401", "chain-2000"],
+)
+def test_large_graphs_solve_in_linear_time(data, size):
+    graph = build_graph(data)
+    assert len(graph.nodes) == size
+    start = time.perf_counter()
+    report = discrepancies(graph)
+    assert time.perf_counter() - start < 1.0
+    assert report.log_discrepancies[graph.central_index] == _central_by_formula(data)
