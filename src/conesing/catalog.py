@@ -1,12 +1,13 @@
 """Finite catalogs of surface cone singularities.
 
 For a log-discrepancy floor epsilon0 and an isotropy bound N, every such
-cone is, up to isomorphism and linear equivalence, polarized by
-    D = (a0/N) {0} + (a1/N) {1} + (a_inf/N) {inf}
-with a0, a1 integers in [0, N] and a_inf an integer in the finite window
-(-(a0+a1), 2N/epsilon0 - (a0+a1)]: the lower end is ampleness, the upper
-end is the Fano-angle bound r <= 1/epsilon0.  Enumerating that grid and
-filtering by the exact invariants yields the full (finite) catalog.
+cone is, up to isomorphism and linear equivalence, polarized by one canonical
+form D = (a0/N) {0} + (a1/N) {1} + (a_inf/N) {inf}: fractional parts
+descending, N > a0 >= a1 >= a_inf mod N, the integer part at infinity, and
+a_inf in the finite window (-(a0+a1), 2N/epsilon0 - (a0+a1)]: the lower end
+is ampleness, the upper end is the Fano-angle bound r <= 1/epsilon0.
+Enumerating that grid and filtering by the exact invariants yields the full
+(finite) catalog, each class exactly once.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from fractions import Fraction
 from . import cones, resolution
 from .cones import ConeTriple
 from .divisors import MARKED_POINTS, QDivisorP1, SeifertData
-from .errors import NotLogFano
 from .rationals import format_rational
 
 
@@ -49,13 +49,12 @@ def _classify(divisor: QDivisorP1) -> CatalogEntry | None:
     triple = ConeTriple(divisor)
     if not cones.is_klt_cone(triple):
         return None
-    canonical = divisor.canonical_form()
-    seifert = canonical.normalize_seifert()
+    seifert = divisor.normalize_seifert()
     report = resolution.discrepancies(resolution.build_graph(seifert))
     if not report.is_klt:
         return None
     return CatalogEntry(
-        triple=ConeTriple(canonical),
+        triple=triple,
         seifert=seifert,
         mld=report.mld,
         fano_angle=cones.fano_angle(triple),
@@ -75,25 +74,22 @@ def enumerate_catalog(epsilon0: Fraction, n_isotropy: int) -> tuple[CatalogEntry
     if n_isotropy < 1:
         raise ValueError("isotropy bound must be >= 1")
 
-    found: dict[QDivisorP1, CatalogEntry] = {}
-    for a0 in range(n_isotropy + 1):
-        for a1 in range(n_isotropy + 1):
+    found: list[CatalogEntry] = []
+    for a0 in range(n_isotropy):
+        for a1 in range(a0 + 1):
             for a_inf in a_inf_range(epsilon0, n_isotropy, a0, a1):
-                divisor = QDivisorP1(
-                    {
-                        point: Fraction(num, n_isotropy)
-                        for point, num in zip(MARKED_POINTS, (a0, a1, a_inf))
-                    }
-                )
-                entry = _classify(divisor)
+                if a_inf % n_isotropy > a1:
+                    continue  # fractional parts not descending: not canonical
+                coeffs = (Fraction(num, n_isotropy) for num in (a0, a1, a_inf))
+                entry = _classify(QDivisorP1(dict(zip(MARKED_POINTS, coeffs))))
                 if entry is None:
                     continue
                 if entry.max_isotropy > n_isotropy or entry.mld < epsilon0:
                     continue
-                found.setdefault(entry.triple.polarization, entry)
+                found.append(entry)
     return tuple(
         sorted(
-            found.values(),
+            found,
             key=lambda e: (
                 e.triple.polarization.degree(),
                 e.mld,

@@ -84,8 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--bound", type=int, default=None,
                      help="ray height bound (default 4n)")
-    sub.add_argument("--json", action="store_true", dest="json_flag",
-                     help="shorthand for --format json")
 
     sub = add("tjurina", "Tjurina number of an isolated hypersurface singularity")
     sub.add_argument("--poly", type=str, default=None)
@@ -216,7 +214,7 @@ def _dispatch(args: argparse.Namespace) -> str:
     if args.subcommand == "an-blowups":
         bound = args.bound if args.bound is not None else 4 * args.n
         records = toric_an.enumerate_plt_blowups(args.n, bound)
-        if args.format == "json" or args.json_flag:
+        if args.format == "json":
             rows = [
                 {
                     "ray": list(record.ray),
@@ -293,9 +291,36 @@ class UsageError(Exception):
     pass
 
 
+# Options whose value may begin with "-": a divisor with a negative point, a
+# polynomial with a negative leading term, a negative parameter.  argparse
+# reads such a token as an unknown option unless it is attached with "=".
+_SIGNED_VALUE_OPTIONS = frozenset({"--divisor", "--poly", "--t"})
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--opt -value`` as ``--opt=-value`` for the options above.
+    A following ``--option`` or ``-h`` is left alone, so it is never taken
+    as the value."""
+    joined: list[str] = []
+    for token in argv:
+        if (
+            joined
+            and joined[-1] in _SIGNED_VALUE_OPTIONS
+            and token.startswith("-")
+            and not token.startswith("--")
+            and token != "-h"
+        ):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_signed_values(sys.argv[1:] if argv is None else argv)
+    )
     args.any_check_failed = False
     try:
         document = _dispatch(args)

@@ -130,9 +130,6 @@ class Poly:
             derived[tuple(lowered)] = coeff * e
         return Poly(self.variables, derived)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

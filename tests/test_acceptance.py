@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conesing import catalog, cones, groebner, resolution, toric_an
+from conesing.checks import _brute_force_members
 from conesing.cones import ConeTriple
 from conesing.divisors import INF, MARKED_POINTS, PointP1, QDivisorP1
 from conesing.errors import NotIsolated
@@ -125,28 +126,6 @@ def test_criterion_4_catalog_finiteness_and_completeness():
     if elapsed >= 10.0:
         failures.append(f"runtime {elapsed:.2f}s >= 10s")
     _report("4 (catalog finiteness/completeness)", failures, elapsed)
-
-
-def _brute_force_members(epsilon0: Fraction, n_isotropy: int) -> set[QDivisorP1]:
-    degree_cap = Fraction(2 * n_isotropy) / epsilon0 + 3
-    lo = -3 * n_isotropy
-    hi = int(degree_cap * n_isotropy) + 3 * n_isotropy
-    members = set()
-    for k0 in range(lo, hi + 1):
-        for k1 in range(lo, hi + 1):
-            for k_inf in range(lo, hi + 1):
-                coeffs = (
-                    Fraction(k0, n_isotropy),
-                    Fraction(k1, n_isotropy),
-                    Fraction(k_inf, n_isotropy),
-                )
-                degree = sum(coeffs)
-                if not 0 < degree <= degree_cap:
-                    continue
-                divisor = QDivisorP1(dict(zip(MARKED_POINTS, coeffs)))
-                if catalog.is_member(ConeTriple(divisor), epsilon0, n_isotropy):
-                    members.add(divisor.canonical_form())
-    return members
 
 
 def _corpus_seiferts():

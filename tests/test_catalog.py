@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -12,7 +13,7 @@ from conesing.catalog import (
     is_member,
 )
 from conesing.cones import ConeTriple
-from conesing.divisors import INF, MARKED_POINTS, QDivisorP1
+from conesing.divisors import INF, MARKED_POINTS, ONE, ZERO, QDivisorP1
 
 
 def forms(entries) -> set[QDivisorP1]:
@@ -91,6 +92,20 @@ def test_consistency_check_flags_corrupted_entry():
     )
 
 
+def _full_grid(epsilon0, n) -> list[QDivisorP1]:
+    """The (N+1)^2 grid of a0, a1 in [0, N], each with its a_inf window."""
+    grid = [
+        (a0, a1, a_inf)
+        for a0 in range(n + 1)
+        for a1 in range(n + 1)
+        for a_inf in a_inf_range(epsilon0, n, a0, a1)
+    ]
+    return [
+        QDivisorP1(dict(zip(MARKED_POINTS, (Fraction(a, n) for a in nums))))
+        for nums in grid
+    ]
+
+
 def test_dedup_soundness():
     for epsilon0, n in [(Fraction(1), 2), (Fraction(1, 2), 2)]:
         entries = enumerate_catalog(epsilon0, n)
@@ -99,22 +114,55 @@ def test_dedup_soundness():
             (entry.seifert.b, entry.seifert.branch_multiset()) for entry in entries
         }
         # every candidate surviving the filters has the seifert data of a kept entry
-        for a0 in range(n + 1):
-            for a1 in range(n + 1):
-                for a_inf in a_inf_range(epsilon0, n, a0, a1):
-                    divisor = QDivisorP1(
-                        {
-                            point: Fraction(num, n)
-                            for point, num in zip(MARKED_POINTS, (a0, a1, a_inf))
-                        }
-                    )
-                    if divisor.degree() <= 0:
-                        continue
-                    triple = ConeTriple(divisor)
-                    if not is_member(triple, epsilon0, n):
-                        continue
-                    data = divisor.normalize_seifert()
-                    assert (data.b, data.branch_multiset()) in kept
+        for divisor in _full_grid(epsilon0, n):
+            if divisor.degree() <= 0:
+                continue
+            if not is_member(ConeTriple(divisor), epsilon0, n):
+                continue
+            data = divisor.normalize_seifert()
+            assert (data.b, data.branch_multiset()) in kept
+
+
+def test_catalog_walks_each_canonical_form_once(monkeypatch):
+    true_classify = catalog._classify
+    for epsilon0, n in [
+        (Fraction(1), 1),
+        (Fraction(2), 1),
+        (Fraction(1), 2),
+        (Fraction(1, 2), 3),
+        (Fraction(2, 3), 4),
+        (Fraction(1, 3), 5),
+    ]:
+        seen: list[QDivisorP1] = []
+
+        def recording(divisor):
+            seen.append(divisor)
+            return true_classify(divisor)
+
+        monkeypatch.setattr(catalog, "_classify", recording)
+        entries = enumerate_catalog(epsilon0, n)
+        monkeypatch.undo()
+        assert len(set(seen)) == len(seen), (epsilon0, n)
+        assert all(divisor.canonical_form() == divisor for divisor in seen)
+        expected = {divisor.canonical_form() for divisor in _full_grid(epsilon0, n)}
+        assert set(seen) == expected, (epsilon0, n)
+        assert all(entry.max_isotropy <= n for entry in entries)
+        if n >= 2:  # ties a0 == a1 are walked too
+            assert any(d.coeff(ZERO) == d.coeff(ONE) != 0 for d in seen)
+
+
+@pytest.mark.parametrize(
+    ("epsilon0", "n", "digest"),
+    [
+        (Fraction(1), 2, "fd22c85c5855ca4eb6dbc07a03b284450f4d0308342c90c4409730bf4401caca"),
+        (Fraction(1, 2), 4, "b4ee6229843f8667d5e8f844e880a97a4aad63dd7e13a4f48e7b094b8c39a657"),
+        (Fraction(1, 6), 6, "bf49bbd6b9bffc3098ea6e914d261092ae8320a0f404b4402d1fd6dead3ff9da"),
+        (Fraction(1, 10), 10, "9478c9cb8b547860a9e8d3be56134e1bb922b1a16fba7c3ad8cddb677721be6e"),
+    ],
+)
+def test_catalog_json_digest_is_pinned(epsilon0, n, digest):
+    text = catalog.catalog_json_text(epsilon0, n, enumerate_catalog(epsilon0, n))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_vertex_bound_sharp_on_integral_entries():

@@ -46,6 +46,29 @@ def test_usage_errors_exit_2(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (["mld", "--divisor", "-1:1/2,inf:1"], "1\n"),
+        (["tjurina", "--poly", "-x^2-y^2-z^2"], "1\n"),
+        (["tjurina", "--family-n", "5", "--t", "-1/2"], "6\n"),
+    ],
+)
+def test_leading_minus_value_matches_equals_form(capsys, argv, expected):
+    *head, option, value = argv
+    spaced = run_cli(capsys, *argv)
+    attached = run_cli(capsys, *head, f"{option}={value}")
+    assert spaced == attached == (0, expected, "")
+
+
+@pytest.mark.parametrize("following", [["--format", "json"], ["-h"]])
+def test_option_after_value_option_is_not_swallowed(capsys, following):
+    with pytest.raises(SystemExit) as info:
+        main(["mld", "--divisor", *following])
+    assert info.value.code == 2
+    assert "argument --divisor: expected one argument" in capsys.readouterr().err
+
+
 def test_resolve_dot_and_json(capsys):
     code, out, _ = run_cli(
         capsys, "resolve", "--divisor", "0:1/2,1:1/3,inf:-4/5", "--format", "dot"
