@@ -3,8 +3,9 @@
 One binary, one subcommand per operation.  Every rational is printed
 exactly as p/q (never as a decimal), collections are emitted in sorted
 order, and identical invocations produce identical bytes.  Domain errors
-exit 1 with a structured {"error": kind, "message": ...} record on stderr;
-usage errors exit 2.
+exit 1 with a structured {"error": kind, "message": ...} record on stderr,
+usage errors exit 2, and a failed internal self-check exits 3 with the
+record {"error": "INTERNAL", "message": ...}.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import catalog, checks, cones, groebner, resolution, toric_an
 from .cones import ConeTriple
-from .divisors import QDivisorP1
+from .divisors import QDivisorP1, SeifertData
 from .errors import DomainError
 from .rationals import format_rational, parse_rational
 
@@ -94,7 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cone_record(triple: ConeTriple) -> dict:
+# Each subcommand builds one document: the value that --format json prints.
+# Every other format is a view that reads only that document.
+
+
+def _cone_document(triple: ConeTriple) -> dict:
     return {
         "degree": format_rational(triple.polarization.degree()),
         "fano_angle": format_rational(cones.fano_angle(triple)),
@@ -104,23 +109,25 @@ def _cone_record(triple: ConeTriple) -> dict:
     }
 
 
-def _graph_document(divisor: QDivisorP1) -> tuple[resolution.DualGraph, resolution.DiscrepancyReport]:
-    graph = resolution.build_graph(divisor.normalize_seifert())
-    return graph, resolution.discrepancies(graph)
+def _cone(args: argparse.Namespace) -> dict:
+    return _cone_document(ConeTriple(args.divisor))
 
 
-def _graph_dot(graph: resolution.DualGraph, report: resolution.DiscrepancyReport) -> str:
-    lines = ["digraph resolution {"]
-    for i, node in enumerate(graph.nodes):
-        label = f"E_{i}: {node.self_intersection}, {format_rational(report.log_discrepancies[i])}"
-        lines.append(f'  n{i} [label="{label}"];')
-    for i, j in sorted(graph.edges):
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _veronese(args: argparse.Namespace) -> dict:
+    return _cone_document(cones.veronese(ConeTriple(args.divisor), args.m))
 
 
-def _graph_json(graph: resolution.DualGraph, report: resolution.DiscrepancyReport) -> dict:
+def _degenerate(args: argparse.Namespace) -> dict:
+    divisor = args.divisor
+    m = args.m if args.m is not None else divisor.cartier_index()
+    qs = [q for _, _, q in divisor.fractional_profile()]
+    fiber = cones.central_fiber_of_plt_blowup(qs, divisor.degree(), m)
+    return _cone_document(fiber.quotient)
+
+
+def _resolve_document(seifert: SeifertData) -> dict:
+    graph = resolution.build_graph(seifert)
+    report = resolution.discrepancies(graph)
     return {
         "nodes": [
             {"self_intersection": n.self_intersection, "is_central": n.is_central}
@@ -133,158 +140,138 @@ def _graph_json(graph: resolution.DualGraph, report: resolution.DiscrepancyRepor
     }
 
 
-def _record_text(record: dict) -> str:
-    return "".join(f"{key}: {value}\n" for key, value in record.items())
+def _resolve(args: argparse.Namespace) -> dict:
+    return _resolve_document(args.divisor.normalize_seifert())
+
+
+def _mld(args: argparse.Namespace) -> dict:
+    graph = resolution.build_graph(args.divisor.normalize_seifert())
+    return {"mld": format_rational(resolution.discrepancies(graph).mld)}
+
+
+def _enumerate(args: argparse.Namespace) -> dict:
+    entries = catalog.enumerate_catalog(args.epsilon0, args.isotropy)
+    document = catalog.catalog_to_json(args.epsilon0, args.isotropy, entries)
+    if args.json_path is not None:
+        args.json_path.write_text(_json_text(document))
+    if args.dot_dir is not None:
+        args.dot_dir.mkdir(parents=True, exist_ok=True)
+        for index, entry in enumerate(entries):
+            path = args.dot_dir / f"entry_{index:03d}.dot"
+            path.write_text(_text(_dot_lines(_resolve_document(entry.seifert))))
+    return document
+
+
+def _an_blowups(args: argparse.Namespace) -> list:
+    bound = args.bound if args.bound is not None else 4 * args.n
+    return [
+        {
+            "ray": list(record.ray),
+            "a": record.a,
+            "b": record.b,
+            "diff": [format_rational(c) for c in record.diff],
+            "threshold": format_rational(record.delta_threshold),
+        }
+        for record in toric_an.enumerate_plt_blowups(args.n, bound)
+    ]
+
+
+def _tjurina(args: argparse.Namespace) -> dict:
+    if (args.poly is None) == (args.family_n is None):
+        raise UsageError("tjurina needs exactly one of --poly or --family-n")
+    if args.poly is not None:
+        poly = groebner.parse_polynomial(args.poly)
+    elif args.family_n < 4:
+        raise UsageError("--family-n must be >= 4")
+    else:
+        poly = groebner.family_polynomial(args.family_n, args.t)
+    return {"tjurina": groebner.tjurina(poly)}
+
+
+def _paper_check(args: argparse.Namespace) -> dict:
+    results = checks.run_paper_checks()
+    return {
+        "ok": all(r.ok for r in results),
+        "checks": [
+            {"id": r.check_id, "ok": r.ok, "expected": r.expected, "actual": r.actual}
+            for r in results
+        ],
+    }
+
+
+def _record_lines(document: dict) -> list[str]:
+    return [f"{key}: {value}" for key, value in document.items()]
+
+
+def _resolve_lines(document: dict) -> list[str]:
+    nodes = zip(document["nodes"], document["log_discrepancies"])
+    return [
+        f"E_{i}: self-intersection {node['self_intersection']}, log discrepancy {a}"
+        + (" (central)" if node["is_central"] else "")
+        for i, (node, a) in enumerate(nodes)
+    ] + [f"mld: {document['mld']}", f"canonical index: {document['canonical_index']}"]
+
+
+def _dot_lines(document: dict) -> list[str]:
+    nodes = zip(document["nodes"], document["log_discrepancies"])
+    lines = ["digraph resolution {"]
+    for i, (node, a) in enumerate(nodes):
+        label = f"E_{i}: {node['self_intersection']}, {a}"
+        lines.append(f'  n{i} [label="{label}"];')
+    lines.extend(f"  n{i} -> n{j};" for i, j in document["edges"])
+    lines.append("}")
+    return lines
+
+
+def _enumerate_lines(document: dict) -> list[str]:
+    entries = document["entries"]
+    return [
+        f"{e['divisor']}  mld={e['mld']}  r={e['fano_angle']}"
+        f"  isotropy={e['max_isotropy']}  index={e['canonical_index']}"
+        for e in entries
+    ] + [f"{len(entries)} entries"]
+
+
+def _an_blowups_lines(rows: list) -> list[str]:
+    return [
+        f"ray=({row['ray'][0]},{row['ray'][1]})  a={row['a']}  b={row['b']}"
+        f"  diff=({row['diff'][0]},{row['diff'][1]})  threshold={row['threshold']}"
+        for row in rows
+    ] + [f"{len(rows)} rays"]
+
+
+def _paper_check_lines(document: dict) -> list[str]:
+    results = document["checks"]
+    passed = sum(c["ok"] for c in results)
+    return [
+        f"PASS {c['id']}" if c["ok"]
+        else f"FAIL {c['id']} expected={c['expected']} actual={c['actual']}"
+        for c in results
+    ] + [f"{passed}/{len(results)} checks passed"]
+
+
+# subcommand -> (document builder, {format: view of the document}); every
+# subcommand also takes --format json, which prints the document itself.
+_COMMANDS = {
+    "mld": (_mld, {"text": lambda document: [document["mld"]]}),
+    "resolve": (_resolve, {"text": _resolve_lines, "dot": _dot_lines}),
+    "fano-angle": (_cone, {"text": _record_lines}),
+    "isotropy": (_cone, {"text": _record_lines}),
+    "veronese": (_veronese, {"text": _record_lines}),
+    "degenerate": (_degenerate, {"text": _record_lines}),
+    "enumerate": (_enumerate, {"text": _enumerate_lines}),
+    "an-blowups": (_an_blowups, {"text": _an_blowups_lines}),
+    "tjurina": (_tjurina, {"text": lambda document: [str(document["tjurina"])]}),
+    "paper-check": (_paper_check, {"text": _paper_check_lines}),
+}
 
 
 def _json_text(document) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def _dispatch(args: argparse.Namespace) -> str:
-    if args.subcommand == "mld":
-        _, report = _graph_document(args.divisor)
-        if args.format == "json":
-            return _json_text({"mld": format_rational(report.mld)})
-        return format_rational(report.mld) + "\n"
-
-    if args.subcommand == "resolve":
-        graph, report = _graph_document(args.divisor)
-        if args.format == "dot":
-            return _graph_dot(graph, report)
-        document = _graph_json(graph, report)
-        if args.format == "json":
-            return _json_text(document)
-        lines = [
-            f"E_{i}: self-intersection {node.self_intersection}, "
-            f"log discrepancy {format_rational(report.log_discrepancies[i])}"
-            + (" (central)" if node.is_central else "")
-            for i, node in enumerate(graph.nodes)
-        ]
-        lines.append(f"mld: {format_rational(report.mld)}")
-        lines.append(f"canonical index: {report.canonical_index}")
-        return "\n".join(lines) + "\n"
-
-    if args.subcommand in {"fano-angle", "isotropy"}:
-        record = _cone_record(ConeTriple(args.divisor))
-        if args.format == "json":
-            return _json_text(record)
-        return _record_text(record)
-
-    if args.subcommand == "veronese":
-        transformed = cones.veronese(ConeTriple(args.divisor), args.m)
-        record = _cone_record(transformed)
-        if args.format == "json":
-            return _json_text(record)
-        return _record_text(record)
-
-    if args.subcommand == "degenerate":
-        divisor = args.divisor
-        m = args.m if args.m is not None else divisor.cartier_index()
-        qs = [q for _, _, q in divisor.fractional_profile()]
-        fiber = cones.central_fiber_of_plt_blowup(qs, divisor.degree(), m)
-        record = _cone_record(fiber.quotient)
-        if args.format == "json":
-            return _json_text(record)
-        return _record_text(record)
-
-    if args.subcommand == "enumerate":
-        entries = catalog.enumerate_catalog(args.epsilon0, args.isotropy)
-        json_document = catalog.catalog_json_text(args.epsilon0, args.isotropy, entries)
-        if args.json_path is not None:
-            args.json_path.write_text(json_document)
-        if args.dot_dir is not None:
-            args.dot_dir.mkdir(parents=True, exist_ok=True)
-            for index, entry in enumerate(entries):
-                graph = resolution.build_graph(entry.seifert)
-                report = resolution.discrepancies(graph)
-                path = args.dot_dir / f"entry_{index:03d}.dot"
-                path.write_text(_graph_dot(graph, report))
-        if args.format == "json":
-            return json_document
-        lines = [
-            f"{entry.triple.polarization}  mld={format_rational(entry.mld)}"
-            f"  r={format_rational(entry.fano_angle)}"
-            f"  isotropy={entry.max_isotropy}  index={entry.canonical_index}"
-            for entry in entries
-        ]
-        lines.append(f"{len(entries)} entries")
-        return "\n".join(lines) + "\n"
-
-    if args.subcommand == "an-blowups":
-        bound = args.bound if args.bound is not None else 4 * args.n
-        records = toric_an.enumerate_plt_blowups(args.n, bound)
-        if args.format == "json":
-            rows = [
-                {
-                    "ray": list(record.ray),
-                    "a": record.a,
-                    "b": record.b,
-                    "diff": [format_rational(c) for c in record.diff],
-                    "threshold": format_rational(record.delta_threshold),
-                }
-                for record in records
-            ]
-            return _json_text(rows)
-        lines = [
-            f"ray=({record.ray[0]},{record.ray[1]})  a={record.a}  b={record.b}"
-            f"  diff=({format_rational(record.diff[0])},{format_rational(record.diff[1])})"
-            f"  threshold={format_rational(record.delta_threshold)}"
-            for record in records
-        ]
-        lines.append(f"{len(records)} rays")
-        return "\n".join(lines) + "\n"
-
-    if args.subcommand == "tjurina":
-        value = _tjurina_value(args)
-        if args.format == "json":
-            return _json_text({"tjurina": value})
-        return f"{value}\n"
-
-    if args.subcommand == "paper-check":
-        results = checks.run_paper_checks()
-        args.any_check_failed = any(not r.ok for r in results)
-        if args.format == "json":
-            document = {
-                "ok": all(r.ok for r in results),
-                "checks": [
-                    {
-                        "id": r.check_id,
-                        "ok": r.ok,
-                        "expected": r.expected,
-                        "actual": r.actual,
-                    }
-                    for r in results
-                ],
-            }
-            return _json_text(document)
-        lines = []
-        for r in results:
-            if r.ok:
-                lines.append(f"PASS {r.check_id}")
-            else:
-                lines.append(
-                    f"FAIL {r.check_id} expected={r.expected} actual={r.actual}"
-                )
-        failures = sum(1 for r in results if not r.ok)
-        lines.append(f"{len(results) - failures}/{len(results)} checks passed")
-        return "\n".join(lines) + "\n"
-
-    raise AssertionError(f"unhandled subcommand {args.subcommand}")
-
-
-def _tjurina_value(args: argparse.Namespace) -> int:
-    if (args.poly is None) == (args.family_n is None):
-        raise UsageError("tjurina needs exactly one of --poly or --family-n")
-    if args.poly is not None:
-        try:
-            poly = groebner.parse_polynomial(args.poly)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        return groebner.tjurina(poly)
-    if args.family_n < 4:
-        raise UsageError("--family-n must be >= 4")
-    return groebner.tjurina(groebner.family_polynomial(args.family_n, args.t))
+def _text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
 class UsageError(Exception):
@@ -316,27 +303,37 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return joined
 
 
+def _error(kind: str, exc: Exception, code: int) -> int:
+    record = {"error": kind, "message": str(exc)}
+    print(json.dumps(record, sort_keys=True), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(
         _attach_signed_values(sys.argv[1:] if argv is None else argv)
     )
-    args.any_check_failed = False
+    build, views = _COMMANDS[args.subcommand]
     try:
-        document = _dispatch(args)
+        document = build(args)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
-        structured = {"error": exc.kind, "message": str(exc)}
-        print(json.dumps(structured, sort_keys=True), file=sys.stderr)
-        return 1
-    out = getattr(args, "out", None)
-    if out is not None:
-        out.write_text(document)
+        return _error(exc.kind, exc, 1)
+    except RuntimeError as exc:  # a failed internal self-check
+        return _error("INTERNAL", exc, 3)
+    if args.format == "json":
+        text = _json_text(document)
     else:
-        sys.stdout.write(document)
-    return 1 if args.any_check_failed else 0
+        text = _text(views[args.format](document))
+    if args.out is not None:
+        args.out.write_text(text)
+    else:
+        sys.stdout.write(text)
+    # A document that carries a verdict (paper-check) exits 1 when it is false.
+    return 1 if isinstance(document, dict) and document.get("ok") is False else 0
 
 
 def run() -> None:

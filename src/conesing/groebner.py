@@ -79,25 +79,11 @@ class Poly:
     def __hash__(self) -> int:
         return hash((self.variables, frozenset(self.terms.items())))
 
-    def __add__(self, other: "Poly") -> "Poly":
-        merged = dict(self.terms)
-        for exponents, coeff in other.terms.items():
-            merged[exponents] = merged.get(exponents, Fraction(0)) + coeff
-        return Poly(self.variables, merged)
-
     def __sub__(self, other: "Poly") -> "Poly":
         merged = dict(self.terms)
         for exponents, coeff in other.terms.items():
             merged[exponents] = merged.get(exponents, Fraction(0)) - coeff
         return Poly(self.variables, merged)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        product: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                product[key] = product.get(key, Fraction(0)) + c1 * c2
-        return Poly(self.variables, product)
 
     def scaled(self, scalar) -> "Poly":
         scalar = Fraction(scalar)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -264,3 +265,167 @@ def test_paper_check_negative_control_range_off_by_one(capsys, monkeypatch):
     assert any("completeness" in r.check_id for r in failed) or any(
         "size" in r.check_id for r in failed
     )
+
+# Exit code and sha256 of stdout for every subcommand in every format it
+# accepts, every README example, and usage and domain errors.  No argument
+# contains a space, so str.split() turns each line into its argv.
+EMPTY = hashlib.sha256(b"").hexdigest()
+E8 = "0:1/2,1:1/3,inf:-4/5"
+NOT_LC = "0:1/7,1:1/7,2:1/7,3:1/7,inf:1/7"
+PINNED_OUTPUT = [
+    ("mld --divisor inf:3", 0,
+     "63074f735ae43544e4969a0608118c895195395192afae62695b5ab9ec8fa90f"),
+    ("mld --divisor inf:3 --format json", 0,
+     "fc12f9d2cf528f55497aeff98f9b70f2d524d337d5ba3d200f3e9e4848928f86"),
+    (f"mld --divisor {NOT_LC}", 0,
+     "e0e193494bdf24849feea35de76690ede80f8cb209a3ad182a8701f18b73dca8"),
+    (f"mld --divisor {NOT_LC} --format json", 0,
+     "5ca6749c36234c5681d530ed085f5b2fb4e29cd3ab1bb0f30af10c0c205d95be"),
+    ("mld --divisor -1:1/2,inf:1", 0,
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("mld --divisor inf:-3", 1, EMPTY),
+    (f"resolve --divisor {E8}", 0,
+     "323abef660239c3626781d697b52978eb358f8ed3ad2d0ec958edfe246eb8bf5"),
+    (f"resolve --divisor {E8} --format json", 0,
+     "b6639568e5406f9d86e6e1990568042b09d64dbb1b944a930eb4948345d636bd"),
+    (f"resolve --divisor {E8} --format dot", 0,
+     "48dae46fb004cbd16b1ecbf2781a448dfc58678459af42e5cd96f5bbd384772e"),
+    (f"resolve --divisor {NOT_LC}", 0,
+     "4f53d3b792141034410b48c3606a7d9a4853035c5e8bf6f171532cebad3e403e"),
+    (f"resolve --divisor {NOT_LC} --format json", 0,
+     "3451cbac4a7e2b41cb4f06c2cac3b248cf61428e78535ce7c3d90efe6de777f8"),
+    (f"resolve --divisor {NOT_LC} --format dot", 0,
+     "50637435959f9dae3d954c149a43d80da7d7a3e2c1000b1b21027921f4f5f474"),
+    ("resolve --divisor inf:3 --format dot", 0,
+     "86c584377a677cacc33ffd67d5a2fa0afb60a635907a7d7ed62ae9bacd02461e"),
+    ("resolve --divisor 0:1/2,1:1/2,inf:-1 --format json", 1, EMPTY),
+    ("fano-angle --divisor 0:1/2,inf:1/2 --format json", 0,
+     "1cf8485c1b0775e8d3664c15b65b15ae67f0cea5a3215d7edde46c9ce148b931"),
+    ("fano-angle --divisor 0:1/2,inf:1/2", 0,
+     "b269715e4be452a4327db1bb71bf3a491f426e478dee4676b1c5db6704dad2d8"),
+    (f"fano-angle --divisor {E8}", 0,
+     "a159ac698a3cb4c64499b274d7dbe1d9cb62ab4e52039700e36e84901d216264"),
+    (f"fano-angle --divisor {NOT_LC}", 1, EMPTY),
+    ("isotropy --divisor 0:1/2,1:2/3", 0,
+     "520bd9a59e3e407d61d07dff90533e222c62e70ea3bab6aad8d0cc24c1a5bbe8"),
+    ("isotropy --divisor 0:1/2,1:2/3 --format json", 0,
+     "49e1d25887be19216bbd8df5d2908f51cb8f029edf20f828401c958717c16f3c"),
+    ("veronese --divisor 0:1/2,inf:1/2 --m 2", 0,
+     "26fed9ca40272a946e608e4ad7712ee149425116ddaf4d06d06e2c1dcd2dc4f5"),
+    ("veronese --divisor 0:1/2,inf:1/2 --m 2 --format json", 0,
+     "a1e212ba6847244b0d54ec02e270f65414bc8e81747e188e2c30322f53049439"),
+    ("veronese --divisor 0:1/2,inf:1/2 --m 0", 2, EMPTY),
+    ("degenerate --divisor 0:1/2,inf:1/2", 0,
+     "26fed9ca40272a946e608e4ad7712ee149425116ddaf4d06d06e2c1dcd2dc4f5"),
+    ("degenerate --divisor 0:1/2,inf:1/2 --format json", 0,
+     "a1e212ba6847244b0d54ec02e270f65414bc8e81747e188e2c30322f53049439"),
+    ("degenerate --divisor 0:3/7,1:5/11,inf:1/13 --format json", 0,
+     "e890c3a88c7fa6af43e11a029c83ce4bc6215b7fd608d96ac06a7ab3b0af2dab"),
+    ("degenerate --divisor 0:1/2,inf:1/2 --m 3", 1, EMPTY),
+    ("degenerate --divisor 0:1/2,1:1/2,2:1/2,inf:1/2", 2, EMPTY),
+    ("enumerate --epsilon0 1/2 --isotropy 2", 0,
+     "c8328dbe4bb02d06193fb1f364e74357a266e27ebc7b8d0b604e1721cbe69de6"),
+    ("enumerate --epsilon0 1/2 --isotropy 2 --format json", 0,
+     "ba246f5eeef97fea1b71144d1eb10710b3c77511ac2a104130baff86778b77f3"),
+    ("enumerate --epsilon0 1/3 --isotropy 3", 0,
+     "b0e156156b66a828c53c399d4befe2b9b5c4989b8f6c889f46f41be207d6618d"),
+    ("enumerate --epsilon0 1 --isotropy 1 --format json", 0,
+     "e1ea68c44d263d89da88710d3ae7b5cc8d19c1425f3cc3540aa9fd9b31a42b08"),
+    ("enumerate --epsilon0 0 --isotropy 2", 2, EMPTY),
+    ("an-blowups --n 3 --bound 12 --format json", 0,
+     "8be899aecdeec8d48b874a68c707ed83a64aa2f6198a5353cf096d075cf2be1c"),
+    ("an-blowups --n 3 --bound 12", 0,
+     "4509e234eda0ef13b80099ce229602ee4f2236dbe74b6910722ec3b71b732b9b"),
+    ("an-blowups --n 5", 0,
+     "c4becfefc6bec242d528f12eff07f02a6b89a27afdeea0f2e6cc234de70cb2d8"),
+    ("an-blowups --n 5 --format json", 0,
+     "eb7cdd89f694c2a58b3f392567882c8921db2f639ee7ef01d83eaeeab7115de8"),
+    ("an-blowups --n 0", 2, EMPTY),
+    ("tjurina --poly x^2+y^2+z^3+z^2*w+w^4", 0,
+     "f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06"),
+    ("tjurina --poly x^2+y^2+z^3+z^2*w+w^4 --format json", 0,
+     "018e8fc9270610bd51262bbbe7265e47d7095be6c705eaaaf2ca42175f2723ef"),
+    ("tjurina --family-n 5 --t 1", 0,
+     "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7"),
+    ("tjurina --family-n 5 --t 1 --format json", 0,
+     "f19eb0e1204a40fae9eefaa3e473440c66cbf528581a0cc6d499543a6e213556"),
+    ("tjurina --poly -x^2-y^2-z^2", 0,
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("tjurina --poly x^2+y^2+z^3+z^2*w --format json", 1, EMPTY),
+    ("tjurina --family-n 3", 2, EMPTY),
+    ("tjurina", 2, EMPTY),
+    ("paper-check", 0,
+     "477464e8d7664d85d3bbd4648159d76ed0bda546cfc7891193736530163a0388"),
+    ("paper-check --format json", 0,
+     "3f52f3dd747eb2a9151bd2b0a37f8e546153d9adbca031e9e42a9fa9d1e9b993"),
+]
+
+# The files written by the README's enumerate example with --out added.
+PINNED_FILES = {
+    "catalog.json": "ba246f5eeef97fea1b71144d1eb10710b3c77511ac2a104130baff86778b77f3",
+    "graphs/entry_000.dot": "cc850c408f21bda1e8b769d694c2d7cc2a8be40d95be131de3f0cfe285e8c3ee",
+    "graphs/entry_001.dot": "e8b98115baea86555db8078dfcfacb14a5ce31f3594e6acda86db718fc697b6a",
+    "graphs/entry_002.dot": "708718a3ecff646986604d36a45aedac03caf1061cfe43ffe14d611a872e2af5",
+    "graphs/entry_003.dot": "bf9689ed40f51ba9f502f3b4824b8dd39b08f5679189ec9cb5416be343eb024e",
+    "graphs/entry_004.dot": "19ad2217b8610667d82809a3ab42cb3870c25ae73b3cf9e3817347d276193423",
+    "graphs/entry_005.dot": "1dac60f5acee80f6fc0c30a292d757b8676ba160e89898c1d6e13499628280b1",
+    "graphs/entry_006.dot": "0368fb9003279562ac6936b6d0b38247910d0732f5ed16f5454100b9514251bf",
+    "graphs/entry_007.dot": "198f319d4d49c008ddad02ff92e5affdd8044d96e6feeddf6bfcac4a04373b4c",
+    "graphs/entry_008.dot": "86c584377a677cacc33ffd67d5a2fa0afb60a635907a7d7ed62ae9bacd02461e",
+    "graphs/entry_009.dot": "4b17b927b651b3922eabe019e499b0f6b249e34d5b5aaa8f1715217292412aa9",
+    "out.txt": "c8328dbe4bb02d06193fb1f364e74357a266e27ebc7b8d0b604e1721cbe69de6",
+}
+
+
+def test_cli_output_bytes_are_pinned(capsys, tmp_path):
+    changed = []
+    for line, code, digest in PINNED_OUTPUT:
+        actual_code, out, _ = run_cli(capsys, *line.split())
+        actual = hashlib.sha256(out.encode()).hexdigest()
+        if (actual_code, actual) != (code, digest):
+            changed.append((line, actual_code, actual))
+    assert changed == []
+
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--epsilon0", "1/2", "--isotropy", "2",
+        "--json", str(tmp_path / "catalog.json"), "--dot", str(tmp_path / "graphs"),
+        "--out", str(tmp_path / "out.txt"),
+    )
+    assert (code, out) == (0, "")
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.rglob("*")) if path.is_file()
+    }
+    assert written == PINNED_FILES
+
+
+def test_paper_check_failure_exits_1(capsys, monkeypatch):
+    failing = [checks.CheckResult("cone-degree-3-mld", False, "2/3", "4/3")]
+    monkeypatch.setattr(checks, "run_paper_checks", lambda: failing)
+
+    code, out, _ = run_cli(capsys, "paper-check")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL cone-degree-3-mld expected=2/3 actual=4/3",
+        "0/1 checks passed",
+    ]
+
+    code, out, _ = run_cli(capsys, "paper-check", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+
+
+def test_internal_self_check_is_structured(capsys, monkeypatch):
+    import conesing.resolution as resolution_module
+
+    def broken(graph):
+        raise RuntimeError("exact solve verification failed")
+
+    monkeypatch.setattr(resolution_module, "discrepancies", broken)
+    code, out, err = run_cli(capsys, "mld", "--divisor", "inf:3")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "INTERNAL",
+        "message": "exact solve verification failed",
+    }
