@@ -16,7 +16,6 @@ from .cones import (
     ConeTriple,
     LogFanoQuotient,
     central_fiber_of_plt_blowup,
-    epsilon0_bound,
     fano_angle,
     is_klt_cone,
     isotropy_at,
@@ -45,7 +44,6 @@ from .groebner import (
 )
 from .rationals import (
     RationalMatrix,
-    continued_fraction_value,
     format_rational,
     hj_expand,
     is_negative_definite,
@@ -58,9 +56,6 @@ from .resolution import (
     GraphNode,
     build_graph,
     discrepancies,
-    intersection_matrix,
-    mld_blowup_oracle,
-    toric_mld_oracle,
 )
 from .toric_an import (
     AnBoundsReport,

@@ -114,16 +114,6 @@ def veronese(triple: ConeTriple, m: int) -> ConeTriple:
     return ConeTriple(m * triple.polarization, triple.boundary)
 
 
-def epsilon0_bound(epsilon: Fraction, r: Fraction) -> Fraction:
-    """Lower bound min(epsilon, 1/r) for the log discrepancies of a cone with
-    trivial isotropies, epsilon-lc quotient, and Fano angle at most r."""
-    epsilon = Fraction(epsilon)
-    r = Fraction(r)
-    if epsilon <= 0 or r <= 0:
-        raise ValueError("epsilon and r must be positive")
-    return min(epsilon, 1 / r)
-
-
 @dataclass(frozen=True)
 class CentralFiber:
     """Combinatorial central fiber of the degeneration along a plt blow-up.

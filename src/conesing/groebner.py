@@ -1,8 +1,8 @@
 """Minimal Groebner-basis engine over the rationals.
 
 Just enough Buchberger to count quotient dimensions of zero-dimensional
-ideals: sparse polynomials with exact rational coefficients, degrevlex (and
-lex, for cross-checks), normal-strategy pair selection with the coprime
+ideals: sparse polynomials with exact rational coefficients, the degrevlex
+order throughout, normal-strategy pair selection with the coprime
 criterion, full interreduction.  The headline consumer is the Tjurina
 number of an isolated hypersurface singularity at the origin.
 """
@@ -14,24 +14,16 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .errors import NotIsolated
 
 Exponents = tuple[int, ...]
-OrderKey = Callable[[Exponents], tuple]
 
 
 def degrevlex_key(exponents: Exponents) -> tuple:
     # ties break on the last differing exponent, smaller loses its negation
     return (sum(exponents), tuple(-e for e in reversed(exponents)))
-
-
-def lex_key(exponents: Exponents) -> tuple:
-    return tuple(exponents)
-
-
-ORDERS: dict[str, OrderKey] = {"degrevlex": degrevlex_key, "lex": lex_key}
 
 
 class Poly:
@@ -100,8 +92,9 @@ class Poly:
             },
         )
 
-    def leading(self, key: OrderKey) -> tuple[Exponents, Fraction]:
-        exponents = max(self.terms, key=key)
+    def leading(self) -> tuple[Exponents, Fraction]:
+        """Leading exponents and coefficient in degrevlex."""
+        exponents = max(self.terms, key=degrevlex_key)
         return exponents, self.terms[exponents]
 
     def partial(self, index: int) -> "Poly":
@@ -194,6 +187,8 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Poly:
                     denominator = take()
                     if denominator is None or not denominator.isdigit():
                         raise ValueError(f"bad rational literal in {text!r}")
+                    if int(denominator) == 0:
+                        raise ValueError(f"zero denominator in {text!r}")
                     value /= int(denominator)
                 coeff *= value
             elif token[0].isalpha():
@@ -222,13 +217,13 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Poly:
     return Poly(variables, terms)
 
 
-def normal_form(poly: Poly, basis: Sequence[Poly], key: OrderKey) -> Poly:
+def normal_form(poly: Poly, basis: Sequence[Poly]) -> Poly:
     """Remainder of multivariate division by the basis."""
     remainder: dict[Exponents, Fraction] = {}
     work = dict(poly.terms)
-    leads = [(g, *g.leading(key)) for g in basis if not g.is_zero()]
+    leads = [(g, *g.leading()) for g in basis if not g.is_zero()]
     while work:
-        exponents = max(work, key=key)
+        exponents = max(work, key=degrevlex_key)
         coeff = work.pop(exponents)
         if coeff == 0:
             continue
@@ -251,9 +246,9 @@ def normal_form(poly: Poly, basis: Sequence[Poly], key: OrderKey) -> Poly:
     return Poly(poly.variables, remainder)
 
 
-def s_polynomial(f: Poly, g: Poly, key: OrderKey) -> Poly:
-    f_lead, f_coeff = f.leading(key)
-    g_lead, g_coeff = g.leading(key)
+def s_polynomial(f: Poly, g: Poly) -> Poly:
+    f_lead, f_coeff = f.leading()
+    g_lead, g_coeff = g.leading()
     lcm_exp = tuple(max(a, b) for a, b in zip(f_lead, g_lead))
     f_shift = tuple(l - a for l, a in zip(lcm_exp, f_lead))
     g_shift = tuple(l - b for l, b in zip(lcm_exp, g_lead))
@@ -267,21 +262,18 @@ class GroebnerBasis:
 
     generators: tuple[Poly, ...]
     variables: tuple[str, ...]
-    order: str = "degrevlex"
 
     def leading_monomials(self) -> list[Exponents]:
-        key = ORDERS[self.order]
-        return [g.leading(key)[0] for g in self.generators]
+        return [g.leading()[0] for g in self.generators]
 
 
-def buchberger(gens: Sequence[Poly], order: str = "degrevlex") -> GroebnerBasis:
+def buchberger(gens: Sequence[Poly]) -> GroebnerBasis:
     """Buchberger's algorithm with normal-strategy pair selection and the
     coprime (product) criterion, followed by full interreduction.
 
     Membership of every input generator is re-verified by a zero normal
     form before returning.
     """
-    key = ORDERS[order]
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("need at least one nonzero generator")
@@ -291,43 +283,43 @@ def buchberger(gens: Sequence[Poly], order: str = "degrevlex") -> GroebnerBasis:
 
     basis: list[Poly] = []
     for g in gens:
-        _, coeff = g.leading(key)
+        _, coeff = g.leading()
         basis.append(g.scaled(1 / coeff))
 
     pairs: list[tuple[tuple, int, int]] = []
 
     def push_pairs(j: int):
-        lead_j, _ = basis[j].leading(key)
+        lead_j, _ = basis[j].leading()
         for i in range(j):
-            lead_i, _ = basis[i].leading(key)
+            lead_i, _ = basis[i].leading()
             if all(min(a, b) == 0 for a, b in zip(lead_i, lead_j)):
                 continue  # coprime leading monomials: S-poly reduces to zero
             lcm_exp = tuple(max(a, b) for a, b in zip(lead_i, lead_j))
-            heapq.heappush(pairs, (key(lcm_exp), i, j))
+            heapq.heappush(pairs, (degrevlex_key(lcm_exp), i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        remainder = normal_form(s_polynomial(basis[i], basis[j], key), basis, key)
+        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if remainder.is_zero():
             continue
-        _, coeff = remainder.leading(key)
+        _, coeff = remainder.leading()
         basis.append(remainder.scaled(1 / coeff))
         push_pairs(len(basis) - 1)
 
-    reduced = _interreduce(basis, key)
-    result = GroebnerBasis(tuple(reduced), variables, order)
+    reduced = _interreduce(basis)
+    result = GroebnerBasis(tuple(reduced), variables)
     for g in gens:
-        if not normal_form(g, result.generators, key).is_zero():
+        if not normal_form(g, result.generators).is_zero():
             raise RuntimeError("input generator does not reduce to zero")
     return result
 
 
-def _interreduce(basis: list[Poly], key: OrderKey) -> list[Poly]:
+def _interreduce(basis: list[Poly]) -> list[Poly]:
     # drop generators whose leading monomial is divisible by another's
-    leads = [g.leading(key)[0] for g in basis]
+    leads = [g.leading()[0] for g in basis]
     keep = []
     for i, lead in enumerate(leads):
         dominated = any(
@@ -344,17 +336,17 @@ def _interreduce(basis: list[Poly], key: OrderKey) -> list[Poly]:
         changed = False
         for i in range(len(keep)):
             others = keep[:i] + keep[i + 1 :]
-            reduced = normal_form(keep[i], others, key)
+            reduced = normal_form(keep[i], others)
             if reduced.is_zero():
                 keep.pop(i)
                 changed = True
                 break
-            _, coeff = reduced.leading(key)
+            _, coeff = reduced.leading()
             reduced = reduced.scaled(1 / coeff)
             if reduced != keep[i]:
                 keep[i] = reduced
                 changed = True
-    return sorted(keep, key=lambda g: key(g.leading(key)[0]))
+    return sorted(keep, key=lambda g: degrevlex_key(g.leading()[0]))
 
 
 INFINITE = math.inf
@@ -398,12 +390,11 @@ def tjurina(f: Poly) -> int:
     dimension = quotient_dimension(basis)
     if dimension == INFINITE:
         raise NotIsolated("quotient is infinite-dimensional: singular locus has positive dimension")
-    key = ORDERS[basis.order]
     power = max(int(dimension), 1)
     for i, variable in enumerate(f.variables):
         exponents = tuple(power if j == i else 0 for j in range(len(f.variables)))
         pure_power = Poly.monomial(f.variables, exponents)
-        if not normal_form(pure_power, basis.generators, key).is_zero():
+        if not normal_form(pure_power, basis.generators).is_zero():
             raise NotIsolated(
                 f"variable {variable} is not nilpotent modulo the ideal: "
                 "the singular scheme is not supported at the origin"

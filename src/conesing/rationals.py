@@ -24,7 +24,10 @@ def parse_rational(text: str) -> Fraction:
     cleaned = text.strip().replace("−", "-")
     if not _RATIONAL_RE.match(cleaned):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(cleaned)
+    try:
+        return Fraction(cleaned)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def format_rational(value: Fraction | int) -> str:
@@ -54,19 +57,6 @@ def hj_expand(alpha: int, beta: int) -> list[int]:
         expansion.append(c)
         alpha, beta = beta, c * beta - alpha
     return expansion
-
-
-def continued_fraction_value(coeffs: Sequence[int]) -> Fraction:
-    """Evaluate c_1 - 1/(c_2 - 1/(...)) exactly.
-
-    Independent of hj_expand: evaluates right-to-left, used as its oracle.
-    """
-    if not coeffs:
-        raise ValueError("empty continued fraction")
-    value = Fraction(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        value = c - 1 / value
-    return value
 
 
 @dataclass(frozen=True)

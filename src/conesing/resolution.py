@@ -7,20 +7,18 @@ solve the adjunction system
 valid because every exceptional curve here is rational.  The graph is a
 tree, so the system is solved by elimination from the leaves towards the
 central node in O(n), and the answer is re-checked exactly node by node.
-The dense ``intersection_matrix`` is kept as an independent oracle.  For an
-lc germ the minimum over the graph is its minimal log discrepancy; two
-independent oracles (blow-up simulation, toric lattice enumeration) confirm
-this.
+For an lc germ the minimum over the graph is its minimal log discrepancy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .divisors import SeifertData
 from .errors import NotContractible
-from .rationals import RationalMatrix, hj_expand, lcm_of_denominators, solve_linear
+from .rationals import hj_expand, lcm_of_denominators
+# Unused here; benchmarks/selftest/test_benchmark.py looks it up on this module.
+from .rationals import solve_linear  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -126,18 +124,6 @@ def build_graph(seifert: SeifertData) -> DualGraph:
     return DualGraph(nodes, edges)
 
 
-def intersection_matrix(graph: DualGraph) -> RationalMatrix:
-    """Dense intersection matrix; an oracle for the tree solve below."""
-    n = len(graph.nodes)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, node in enumerate(graph.nodes):
-        rows[i][i] = Fraction(node.self_intersection)
-    for i, j in graph.edges:
-        rows[i][j] = Fraction(1)
-        rows[j][i] = Fraction(1)
-    return RationalMatrix.from_rows(rows)
-
-
 def discrepancies(graph: DualGraph) -> DiscrepancyReport:
     """Solve the adjunction system exactly and report mld, klt status and
     the lcm of the discrepancy denominators (the canonical index, by the
@@ -187,101 +173,3 @@ def discrepancies(graph: DualGraph) -> DiscrepancyReport:
 
 def central_log_discrepancy(graph: DualGraph) -> Fraction:
     return discrepancies(graph).log_discrepancies[graph.central_index]
-
-
-def mld_blowup_oracle(graph: DualGraph, rounds: int) -> Fraction:
-    """Independent confirmation that the graph minimum is the true mld.
-
-    Simulates every sequence of at most ``rounds`` blow-ups using only the
-    combination rules: an edge blow-up creates a divisor with log
-    discrepancy a_i + a_j, a free blow-up on a node creates a_i + 1.
-    Returns the minimum value seen.  Only meaningful for klt graphs (for
-    non-klt ones the infimum need not be attained), so those are rejected.
-    """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    base = discrepancies(graph)
-    if not base.is_klt:
-        raise ValueError("blow-up oracle requires a klt graph")
-    best = min(base.log_discrepancies)
-
-    def explore(values, edges, depth, best):
-        if depth == 0:
-            return best
-        n = len(values)
-        for i, j in edges:
-            created = values[i] + values[j]
-            rest = edges - {(i, j)} | {(i, n), (j, n)}
-            best = explore(values + (created,), rest, depth - 1, min(best, created))
-        for i in range(n):
-            created = values[i] + 1
-            best = explore(
-                values + (created,), edges | {(i, n)}, depth - 1, min(best, created)
-            )
-        return best
-
-    return explore(base.log_discrepancies, graph.edges, rounds, best)
-
-
-def _full_chain(seifert: SeifertData) -> list[int]:
-    """Linear self-intersection chain of a <= 2-branch star: first branch
-    reversed, center, second branch."""
-    branches = [hj_expand(alpha, beta) for alpha, beta in seifert.branches]
-    chain = list(reversed(branches[0])) if branches else []
-    chain.append(seifert.b)
-    if len(branches) == 2:
-        chain.extend(branches[1])
-    return chain
-
-
-def toric_mld_oracle(seifert: SeifertData) -> Fraction:
-    """Independent mld for the toric (<= 2 branch) case.
-
-    Rebuilds the 2-dimensional lattice cone whose resolution fan realizes
-    the chain (rays satisfy u_{k+1} = c_k u_k - u_{k-1}), then minimizes the
-    toric log discrepancy -- the linear functional taking value 1 on both
-    primitive generators -- over primitive lattice points interior to the
-    cone.  The minimum is attained inside the fundamental parallelogram, so
-    the enumeration there is exhaustive.
-    """
-    if len(seifert.branches) > 2:
-        raise ValueError("toric oracle needs at most 2 branches")
-    chain = _full_chain(seifert)
-    rays = [(1, 0), (0, 1)]
-    for c in chain:
-        u_prev, u = rays[-2], rays[-1]
-        rays.append((c * u[0] - u_prev[0], c * u[1] - u_prev[1]))
-    first, last = rays[0], rays[-1]
-
-    def det(u, v) -> int:
-        return u[0] * v[1] - u[1] * v[0]
-
-    d = det(first, last)
-    if d <= 0:
-        raise NotContractible("chain does not span a strictly convex cone")
-    for ray in rays[1:-1]:
-        if not (det(first, ray) > 0 and det(ray, last) > 0):
-            raise NotContractible("resolution rays leave the cone")
-
-    # functional with value 1 on both generators
-    weight = solve_linear(
-        RationalMatrix.from_rows([list(first), list(last)]), [1, 1]
-    )
-
-    best: Fraction | None = None
-    xs = [first[0], last[0], first[0] + last[0], 0]
-    ys = [first[1], last[1], first[1] + last[1], 0]
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            if (x, y) == (0, 0) or gcd(abs(x), abs(y)) != 1:
-                continue
-            # barycentric coordinates relative to the two generators
-            s = Fraction(det((x, y), last), d)
-            t = Fraction(det(first, (x, y)), d)
-            if not (0 < s <= 1 and 0 < t <= 1):
-                continue
-            value = x * weight[0] + y * weight[1]
-            if best is None or value < best:
-                best = value
-    assert best is not None  # the sum of the generators always qualifies
-    return best

@@ -68,9 +68,9 @@ def _record(cone: LatticeCone2D, ray: tuple[int, int]) -> PltBlowupRecord:
 def enumerate_plt_blowups(n: int, height_bound: int) -> tuple[PltBlowupRecord, ...]:
     """All torus-invariant plt blow-ups from primitive rays strictly inside
     the A_n cone with max(|x|, |y|) <= height_bound."""
+    cone = an_cone(n)
     if height_bound < 1:
         raise ValueError("height_bound must be >= 1")
-    cone = an_cone(n)
     orientation = _det(cone.u1, cone.u2)
     records = []
     for x in range(-height_bound, height_bound + 1):

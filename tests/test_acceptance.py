@@ -16,6 +16,7 @@ from conesing.cones import ConeTriple
 from conesing.divisors import INF, MARKED_POINTS, PointP1, QDivisorP1
 from conesing.errors import NotIsolated
 from conesing.rationals import is_negative_definite
+from reference import intersection_matrix, mld_blowup_oracle, toric_mld_oracle
 
 CATALOG_PAIRS = [
     (Fraction(1), 1),
@@ -145,11 +146,11 @@ def test_criterion_5_oracle_equivalence():
         graph = resolution.build_graph(seifert)
         report = resolution.discrepancies(graph)
         if len(seifert.branches) <= 2:
-            toric = resolution.toric_mld_oracle(seifert)
+            toric = toric_mld_oracle(seifert)
             if toric != report.mld:
                 failures.append(f"toric oracle {toric} != {report.mld} on {seifert}")
         if report.is_klt:
-            simulated = resolution.mld_blowup_oracle(graph, 4)
+            simulated = mld_blowup_oracle(graph, 4)
             if simulated != report.mld:
                 failures.append(
                     f"blow-up oracle {simulated} != {report.mld} on {seifert}"
@@ -172,7 +173,7 @@ def test_criterion_6_structural_invariants():
                     )
                     if divisor.degree() <= 0:
                         continue
-                    matrix = resolution.intersection_matrix(
+                    matrix = intersection_matrix(
                         resolution.build_graph(divisor.normalize_seifert())
                     )
                     if not is_negative_definite(matrix):

@@ -166,16 +166,13 @@ def test_catalog_json_digest_is_pinned(epsilon0, n, digest):
 
 
 def test_vertex_bound_sharp_on_integral_entries():
-    from conesing.cones import epsilon0_bound
-    from conesing.resolution import build_graph, discrepancies
-
     # integral polarization: trivial isotropies, so the delta-free quotient
     # is 1-lc and the vertex bound min(1, 1/r) applies; sharp for degree >= 2
     for epsilon0, n in [(Fraction(1, 2), 1), (Fraction(1, 2), 2)]:
         for entry in enumerate_catalog(epsilon0, n):
             if entry.triple.polarization.fractional_profile():
                 continue
-            bound = epsilon0_bound(Fraction(1), entry.fano_angle)
+            bound = min(Fraction(1), 1 / entry.fano_angle)
             assert entry.mld >= bound
             if entry.triple.polarization.degree() >= 2:
                 assert entry.mld == bound == 1 / entry.fano_angle

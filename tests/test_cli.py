@@ -9,7 +9,11 @@ from conesing.cli import main
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    # argparse rejects a bad option value by raising SystemExit(2)
+    try:
+        code = main(list(argv))
+    except SystemExit as exit_:
+        code = exit_.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -45,6 +49,9 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "tjurina")  # neither --poly nor --family-n
     assert code == 2
     assert "usage error" in err
+    code, _, err = run_cli(capsys, "an-blowups", "--n", "0")  # default bound 4n is 0
+    assert code == 2
+    assert "n must be >= 1" in err
 
 
 @pytest.mark.parametrize(
@@ -284,6 +291,7 @@ PINNED_OUTPUT = [
     ("mld --divisor -1:1/2,inf:1", 0,
      "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
     ("mld --divisor inf:-3", 1, EMPTY),
+    ("mld --divisor inf:1/0", 2, EMPTY),
     (f"resolve --divisor {E8}", 0,
      "323abef660239c3626781d697b52978eb358f8ed3ad2d0ec958edfe246eb8bf5"),
     (f"resolve --divisor {E8} --format json", 0,
@@ -299,6 +307,7 @@ PINNED_OUTPUT = [
     ("resolve --divisor inf:3 --format dot", 0,
      "86c584377a677cacc33ffd67d5a2fa0afb60a635907a7d7ed62ae9bacd02461e"),
     ("resolve --divisor 0:1/2,1:1/2,inf:-1 --format json", 1, EMPTY),
+    ("resolve --divisor 0:1/0", 2, EMPTY),
     ("fano-angle --divisor 0:1/2,inf:1/2 --format json", 0,
      "1cf8485c1b0775e8d3664c15b65b15ae67f0cea5a3215d7edde46c9ce148b931"),
     ("fano-angle --divisor 0:1/2,inf:1/2", 0,
@@ -332,6 +341,7 @@ PINNED_OUTPUT = [
     ("enumerate --epsilon0 1 --isotropy 1 --format json", 0,
      "e1ea68c44d263d89da88710d3ae7b5cc8d19c1425f3cc3540aa9fd9b31a42b08"),
     ("enumerate --epsilon0 0 --isotropy 2", 2, EMPTY),
+    ("enumerate --epsilon0 1/0 --isotropy 2", 2, EMPTY),
     ("an-blowups --n 3 --bound 12 --format json", 0,
      "8be899aecdeec8d48b874a68c707ed83a64aa2f6198a5353cf096d075cf2be1c"),
     ("an-blowups --n 3 --bound 12", 0,
@@ -354,6 +364,7 @@ PINNED_OUTPUT = [
     ("tjurina --poly x^2+y^2+z^3+z^2*w --format json", 1, EMPTY),
     ("tjurina --family-n 3", 2, EMPTY),
     ("tjurina", 2, EMPTY),
+    ("tjurina --poly x^2+1/0*y^2", 2, EMPTY),
     ("paper-check", 0,
      "477464e8d7664d85d3bbd4648159d76ed0bda546cfc7891193736530163a0388"),
     ("paper-check --format json", 0,

@@ -7,7 +7,6 @@ import pytest
 from conesing.cones import (
     ConeTriple,
     central_fiber_of_plt_blowup,
-    epsilon0_bound,
     fano_angle,
     is_klt_cone,
     isotropy_at,
@@ -93,14 +92,6 @@ def test_veronese():
     assert veronese(cone("0:4"), 2).polarization == QDivisorP1({pt(0): 8})
     with pytest.raises(ValueError):
         veronese(half_half, 0)
-
-
-def test_epsilon0_bound():
-    assert epsilon0_bound(Fraction(1), Fraction(2)) == Fraction(1, 2)
-    assert epsilon0_bound(Fraction(1, 3), Fraction(1)) == Fraction(1, 3)
-    assert epsilon0_bound(Fraction(1), Fraction(1, 2)) == 1
-    with pytest.raises(ValueError):
-        epsilon0_bound(Fraction(0), Fraction(1))
 
 
 def test_central_fiber_examples():

@@ -17,10 +17,8 @@ from conesing.resolution import (
     build_graph,
     central_log_discrepancy,
     discrepancies,
-    intersection_matrix,
-    mld_blowup_oracle,
-    toric_mld_oracle,
 )
+from reference import intersection_matrix, mld_blowup_oracle, toric_mld_oracle
 
 
 def pt(x) -> PointP1:
