@@ -311,9 +311,12 @@ def _error(kind: str, exc: Exception, code: int) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(
-        _attach_signed_values(sys.argv[1:] if argv is None else argv)
-    )
+    try:
+        args = parser.parse_args(
+            _attach_signed_values(sys.argv[1:] if argv is None else argv)
+        )
+    except SystemExit as exc:  # usage errors and --help: return, never raise
+        return exc.code
     build, views = _COMMANDS[args.subcommand]
     try:
         document = build(args)

@@ -2,9 +2,11 @@
 
 Just enough Buchberger to count quotient dimensions of zero-dimensional
 ideals: sparse polynomials with exact rational coefficients, the degrevlex
-order throughout, normal-strategy pair selection with the coprime
-criterion, full interreduction.  The headline consumer is the Tjurina
-number of an isolated hypersurface singularity at the origin.
+order throughout, normal-strategy pair selection, the Gebauer-Moeller
+pair criteria (the chain criterion on queued pairs, criteria M and F and
+the product criterion on new ones), full interreduction.  The headline
+consumer is the Tjurina number of an isolated hypersurface singularity at
+the origin.
 """
 from __future__ import annotations
 
@@ -27,9 +29,14 @@ def degrevlex_key(exponents: Exponents) -> tuple:
 
 
 class Poly:
-    """Sparse multivariate polynomial over the rationals."""
+    """Sparse multivariate polynomial over the rationals.
 
-    __slots__ = ("variables", "terms")
+    `terms` is never mutated after construction: every operation builds a
+    new Poly.  So the leading term is computed once, on the first call to
+    `leading()`, and cached.
+    """
+
+    __slots__ = ("variables", "terms", "_lead")
 
     def __init__(
         self,
@@ -47,6 +54,7 @@ class Poly:
             if coeff != 0:
                 cleaned[tuple(exponents)] = coeff
         self.terms = cleaned
+        self._lead: tuple[Exponents, Fraction] | None = None
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "Poly":
@@ -94,8 +102,10 @@ class Poly:
 
     def leading(self) -> tuple[Exponents, Fraction]:
         """Leading exponents and coefficient in degrevlex."""
-        exponents = max(self.terms, key=degrevlex_key)
-        return exponents, self.terms[exponents]
+        if self._lead is None:
+            exponents = max(self.terms, key=degrevlex_key)
+            self._lead = exponents, self.terms[exponents]
+        return self._lead
 
     def partial(self, index: int) -> "Poly":
         """Formal partial derivative in the index-th variable."""
@@ -217,15 +227,28 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Poly:
     return Poly(variables, terms)
 
 
+def _divides(a: Exponents, b: Exponents) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _lcm(a: Exponents, b: Exponents) -> Exponents:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
 def normal_form(poly: Poly, basis: Sequence[Poly]) -> Poly:
     """Remainder of multivariate division by the basis."""
     remainder: dict[Exponents, Fraction] = {}
     work = dict(poly.terms)
+    # min-heap on the negated degrevlex key; a reduction step only adds
+    # terms below the one it removes, so a popped monomial never returns and
+    # an entry whose monomial has left `work` (cancelled) is just skipped
+    heap = [(-sum(e), e[::-1], e) for e in work]
+    heapq.heapify(heap)
     leads = [(g, *g.leading()) for g in basis if not g.is_zero()]
-    while work:
-        exponents = max(work, key=degrevlex_key)
-        coeff = work.pop(exponents)
-        if coeff == 0:
+    while heap:
+        exponents = heapq.heappop(heap)[2]
+        coeff = work.pop(exponents, None)
+        if coeff is None:
             continue
         for g, g_lead, g_coeff in leads:
             if all(e >= l for e, l in zip(exponents, g_lead)):
@@ -235,11 +258,15 @@ def normal_form(poly: Poly, basis: Sequence[Poly]) -> Poly:
                     if e2 == g_lead:
                         continue
                     target = tuple(a + b for a, b in zip(e2, shift))
-                    updated = work.get(target, Fraction(0)) - factor * c2
-                    if updated:
-                        work[target] = updated
+                    delta = factor * c2
+                    previous = work.get(target)
+                    if previous is None:
+                        work[target] = -delta
+                        heapq.heappush(heap, (-sum(target), target[::-1], target))
+                    elif previous != delta:
+                        work[target] = previous - delta
                     else:
-                        work.pop(target, None)
+                        del work[target]
                 break
         else:
             remainder[exponents] = coeff
@@ -249,7 +276,7 @@ def normal_form(poly: Poly, basis: Sequence[Poly]) -> Poly:
 def s_polynomial(f: Poly, g: Poly) -> Poly:
     f_lead, f_coeff = f.leading()
     g_lead, g_coeff = g.leading()
-    lcm_exp = tuple(max(a, b) for a, b in zip(f_lead, g_lead))
+    lcm_exp = _lcm(f_lead, g_lead)
     f_shift = tuple(l - a for l, a in zip(lcm_exp, f_lead))
     g_shift = tuple(l - b for l, b in zip(lcm_exp, g_lead))
     return f.shifted(f_shift, 1 / f_coeff) - g.shifted(g_shift, 1 / g_coeff)
@@ -267,9 +294,56 @@ class GroebnerBasis:
         return [g.leading()[0] for g in self.generators]
 
 
+Pair = tuple[tuple, int, int, Exponents]  # (degrevlex key of the lcm, i, j, lcm)
+
+
+def _gebauer_moller(
+    leads: list[Exponents], active: list[int], pairs: list[Pair], j: int
+) -> tuple[list[int], list[Pair]]:
+    """Gebauer-Moeller update for a new generator j: the active generators
+    and the pair heap once j has joined them.
+
+    A queued pair (i, k) whose lcm the new leading monomial divides goes
+    unless lcm(i, j) or lcm(k, j) equals it (chain criterion B_k).  A new
+    pair (i, j) goes when another new pair's lcm properly divides its lcm
+    (criterion M); of the new pairs with equal lcm one stays, and none when
+    one of them has coprime leading monomials (criterion F and the product
+    criterion).  Generators whose leading monomial the new one divides
+    leave the active set; their queued pairs stay.
+    """
+    lead_j = leads[j]
+    kept = [
+        pair
+        for pair in pairs
+        if not _divides(lead_j, pair[3])
+        or _lcm(leads[pair[1]], lead_j) == pair[3]
+        or _lcm(leads[pair[2]], lead_j) == pair[3]
+    ]
+    lcms = {i: _lcm(leads[i], lead_j) for i in active}
+    distinct = set(lcms.values())
+    coprime = {
+        lcms[i]
+        for i in active
+        if all(min(a, b) == 0 for a, b in zip(leads[i], lead_j))
+    }
+    seen: set[Exponents] = set()
+    for i in active:
+        m = lcms[i]
+        if m in seen or m in coprime:
+            continue
+        seen.add(m)
+        if any(d != m and _divides(d, m) for d in distinct):
+            continue
+        kept.append((degrevlex_key(m), i, j, m))
+    heapq.heapify(kept)
+    return [i for i in active if not _divides(lead_j, leads[i])] + [j], kept
+
+
 def buchberger(gens: Sequence[Poly]) -> GroebnerBasis:
-    """Buchberger's algorithm with normal-strategy pair selection and the
-    coprime (product) criterion, followed by full interreduction.
+    """Buchberger's algorithm with normal-strategy pair selection (smallest
+    lcm in degrevlex first, ties by index) and the Gebauer-Moeller pair
+    criteria (see `_gebauer_moller`), followed by full interreduction.
+    S-polynomials are reduced by the active generators only.
 
     Membership of every input generator is re-verified by a zero normal
     form before returning.
@@ -281,35 +355,30 @@ def buchberger(gens: Sequence[Poly]) -> GroebnerBasis:
     if any(g.variables != variables for g in gens):
         raise ValueError("all generators must share one variable sequence")
 
-    basis: list[Poly] = []
-    for g in gens:
-        _, coeff = g.leading()
+    basis: list[Poly] = []  # every generator ever added; pairs index it
+    leads: list[Exponents] = []
+    active: list[int] = []
+    pairs: list[Pair] = []
+
+    def add(g: Poly):
+        nonlocal active, pairs
+        lead, coeff = g.leading()
         basis.append(g.scaled(1 / coeff))
+        leads.append(lead)
+        active, pairs = _gebauer_moller(leads, active, pairs, len(basis) - 1)
 
-    pairs: list[tuple[tuple, int, int]] = []
-
-    def push_pairs(j: int):
-        lead_j, _ = basis[j].leading()
-        for i in range(j):
-            lead_i, _ = basis[i].leading()
-            if all(min(a, b) == 0 for a, b in zip(lead_i, lead_j)):
-                continue  # coprime leading monomials: S-poly reduces to zero
-            lcm_exp = tuple(max(a, b) for a, b in zip(lead_i, lead_j))
-            heapq.heappush(pairs, (degrevlex_key(lcm_exp), i, j))
-
-    for j in range(len(basis)):
-        push_pairs(j)
+    for g in gens:
+        add(g)
 
     while pairs:
-        _, i, j = heapq.heappop(pairs)
-        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if remainder.is_zero():
-            continue
-        _, coeff = remainder.leading()
-        basis.append(remainder.scaled(1 / coeff))
-        push_pairs(len(basis) - 1)
+        _, i, j, _ = heapq.heappop(pairs)
+        remainder = normal_form(
+            s_polynomial(basis[i], basis[j]), [basis[k] for k in active]
+        )
+        if not remainder.is_zero():
+            add(remainder)
 
-    reduced = _interreduce(basis)
+    reduced = _interreduce([basis[k] for k in active])
     result = GroebnerBasis(tuple(reduced), variables)
     for g in gens:
         if not normal_form(g, result.generators).is_zero():

@@ -2,7 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conesing import groebner
 from conesing.errors import NotIsolated
 from conesing.groebner import (
     INFINITE,
@@ -187,3 +190,120 @@ def test_brieskorn_dimensions_match_product_oracle():
             oracle *= e - 1
         assert oracle == expected
         assert tjurina(f) == expected
+
+
+# the benchmark's two slowest perturbed shapes, with fixed coefficients
+SLOW_SHAPES = (
+    ("x^5+y^4+z^3+w^2+x*y^3*z*w+3/5*x^2*y^2*z^2*w", 24),
+    ("x^7+y^4+z^7-1/5*x^4*y*z^2+3/5*x^4*y^3*z^6", 90),
+)
+
+
+@st.composite
+def zero_dimensional_ideals(draw):
+    """(f, caps): f is a pure power x_i^a_i of each of 2-4 variables plus
+    1-3 mixed monomials with small rational coefficients, each on or above
+    the Newton boundary (sum of m_i / a_i >= 1, every m_i <= a_i); the
+    ideal is f, its partials and x_i^c_i with a_i <= c_i <= a_i + 3.  The
+    pure powers make it zero-dimensional and bound its cost: without them
+    some draws have singular points away from the origin and a global
+    algebra that takes either engine minutes."""
+    nvars = draw(st.integers(2, 4))
+    top = {2: 7, 3: 5, 4: 4}[nvars]
+    exponents = draw(st.lists(st.integers(2, top), min_size=nvars, max_size=nvars))
+    terms = {
+        tuple(a if j == i else 0 for j in range(nvars)): Fraction(1)
+        for i, a in enumerate(exponents)
+    }
+    mixed = st.tuples(*(st.integers(0, a) for a in exponents)).filter(
+        lambda m: sum(1 for e in m if e) >= 2
+        and sum(Fraction(e, a) for e, a in zip(m, exponents)) >= 1
+    )
+    coefficients = st.builds(
+        Fraction, st.integers(-3, 3).filter(bool), st.sampled_from((1, 2, 3, 5))
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        monomial = draw(mixed)
+        terms[monomial] = terms.get(monomial, Fraction(0)) + draw(coefficients)
+    caps = tuple(a + draw(st.integers(0, 3)) for a in exponents)
+    return str(Poly(("x", "y", "z", "w")[:nvars], terms)), caps
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_dimensional_ideals())
+@example((SLOW_SHAPES[0][0], ()))
+@example((SLOW_SHAPES[1][0], ()))
+def test_buchberger_matches_sympy_groebner(ideal):
+    # independent oracle: sympy's reduced grevlex basis is unique, so it
+    # must equal ours generator for generator (both monic), and the
+    # standard monomials it leaves must number quotient_dimension; the
+    # fixed examples are the Tjurina ideals (f, Jac f) alone
+    sympy = pytest.importorskip("sympy")
+    text, caps = ideal
+    f = parse_polynomial(text)
+    gens = [f] + [f.partial(i) for i in range(len(f.variables))]
+    gens += [
+        Poly.monomial(f.variables, tuple(c if j == i else 0 for j in range(len(caps))))
+        for i, c in enumerate(caps)
+    ]
+    ours = buchberger(gens)
+
+    symbols = sympy.symbols(f.variables)
+    theirs = sympy.groebner(
+        [
+            sympy.Poly.from_dict(
+                {e: sympy.Rational(c.numerator, c.denominator) for e, c in g.terms.items()},
+                *symbols,
+                domain="QQ",
+            )
+            for g in gens
+            if not g.is_zero()
+        ],
+        *symbols,
+        order="grevlex",
+    )
+    def rational(c):
+        return Fraction(int(c.p), int(c.q))
+
+    expected = {
+        frozenset(
+            (e, rational(c) / rational(g.LC(order="grevlex"))) for e, c in g.terms()
+        )
+        for g in theirs.polys
+    }
+    assert {frozenset(g.terms.items()) for g in ours.generators} == expected
+
+    leads = [g.monoms(order="grevlex")[0] for g in theirs.polys]
+    caps = [
+        min((m[i] for m in leads if sum(m) == m[i]), default=None)
+        for i in range(len(symbols))
+    ]
+    if any(cap is None for cap in caps):
+        dimension = INFINITE
+    else:
+        dimension = sum(
+            1
+            for exps in itertools.product(*(range(cap) for cap in caps))
+            if not any(all(a >= b for a, b in zip(exps, m)) for m in leads)
+        )
+    assert quotient_dimension(ours) == dimension
+
+
+@pytest.mark.parametrize(("text", "tau", "most"), [
+    (SLOW_SHAPES[0][0], SLOW_SHAPES[0][1], 200),
+    (SLOW_SHAPES[1][0], SLOW_SHAPES[1][1], 125),
+])
+def test_pair_criteria_bound_the_s_polynomials(monkeypatch, text, tau, most):
+    # these germs form 166 and 104 S-polynomials; 2009 and 1360 with the
+    # product criterion alone, 248 and 150 without the chain criterion, and
+    # 225 and 141 without criterion M
+    formed = []
+    original = groebner.s_polynomial
+
+    def counting(f, g):
+        formed.append(1)
+        return original(f, g)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counting)
+    assert tjurina(parse_polynomial(text)) == tau
+    assert len(formed) <= most
