@@ -158,22 +158,33 @@ def _enumerate(args: argparse.Namespace) -> dict:
         args.dot_dir.mkdir(parents=True, exist_ok=True)
         for index, entry in enumerate(entries):
             path = args.dot_dir / f"entry_{index:03d}.dot"
-            path.write_text(_text(_dot_lines(_resolve_document(entry.seifert))))
+            path.write_text(_dot_text(_resolve_document(entry.seifert)))
     return document
 
 
 def _an_blowups(args: argparse.Namespace) -> list:
+    # (a-1)/a and 1/max(a, b) are in lowest terms; a = 1 gives "0" and "1"
     bound = args.bound if args.bound is not None else 4 * args.n
     return [
         {
             "ray": list(record.ray),
             "a": record.a,
             "b": record.b,
-            "diff": [format_rational(c) for c in record.diff],
-            "threshold": format_rational(record.delta_threshold),
+            "diff": [_one_minus_reciprocal(record.a), _one_minus_reciprocal(record.b)],
+            "threshold": _reciprocal(max(record.a, record.b)),
         }
         for record in toric_an.enumerate_plt_blowups(args.n, bound)
     ]
+
+
+def _one_minus_reciprocal(d: int) -> str:
+    """format_rational(1 - Fraction(1, d)) for an integer d >= 1."""
+    return f"{d - 1}/{d}" if d > 1 else "0"
+
+
+def _reciprocal(d: int) -> str:
+    """format_rational(Fraction(1, d)) for an integer d >= 1."""
+    return f"1/{d}" if d > 1 else "1"
 
 
 def _tjurina(args: argparse.Namespace) -> dict:
@@ -199,20 +210,20 @@ def _paper_check(args: argparse.Namespace) -> dict:
     }
 
 
-def _record_lines(document: dict) -> list[str]:
-    return [f"{key}: {value}" for key, value in document.items()]
+def _record_text(document: dict) -> str:
+    return _text([f"{key}: {value}" for key, value in document.items()])
 
 
-def _resolve_lines(document: dict) -> list[str]:
+def _resolve_text(document: dict) -> str:
     nodes = zip(document["nodes"], document["log_discrepancies"])
-    return [
+    return _text([
         f"E_{i}: self-intersection {node['self_intersection']}, log discrepancy {a}"
         + (" (central)" if node["is_central"] else "")
         for i, (node, a) in enumerate(nodes)
-    ] + [f"mld: {document['mld']}", f"canonical index: {document['canonical_index']}"]
+    ] + [f"mld: {document['mld']}", f"canonical index: {document['canonical_index']}"])
 
 
-def _dot_lines(document: dict) -> list[str]:
+def _dot_text(document: dict) -> str:
     nodes = zip(document["nodes"], document["log_discrepancies"])
     lines = ["digraph resolution {"]
     for i, (node, a) in enumerate(nodes):
@@ -220,49 +231,80 @@ def _dot_lines(document: dict) -> list[str]:
         lines.append(f'  n{i} [label="{label}"];')
     lines.extend(f"  n{i} -> n{j};" for i, j in document["edges"])
     lines.append("}")
-    return lines
+    return _text(lines)
 
 
-def _enumerate_lines(document: dict) -> list[str]:
+def _enumerate_text(document: dict) -> str:
     entries = document["entries"]
-    return [
+    return _text([
         f"{e['divisor']}  mld={e['mld']}  r={e['fano_angle']}"
         f"  isotropy={e['max_isotropy']}  index={e['canonical_index']}"
         for e in entries
-    ] + [f"{len(entries)} entries"]
+    ] + [f"{len(entries)} entries"])
 
 
-def _an_blowups_lines(rows: list) -> list[str]:
-    return [
+def _an_blowups_text(rows: list) -> str:
+    return _text([
         f"ray=({row['ray'][0]},{row['ray'][1]})  a={row['a']}  b={row['b']}"
         f"  diff=({row['diff'][0]},{row['diff'][1]})  threshold={row['threshold']}"
         for row in rows
-    ] + [f"{len(rows)} rays"]
+    ] + [f"{len(rows)} rays"])
 
 
-def _paper_check_lines(document: dict) -> list[str]:
+# One row of json.dumps(rows, indent=2, sort_keys=True), whose pure-Python
+# indenting encoder would cost more than building the rows.
+_AN_BLOWUPS_ROW = """\
+  {
+    "a": %d,
+    "b": %d,
+    "diff": [
+      "%s",
+      "%s"
+    ],
+    "ray": [
+      %d,
+      %d
+    ],
+    "threshold": "%s"
+  }"""
+
+
+def _an_blowups_json(rows: list) -> str:
+    """_json_text(rows), written from the fixed layout of a row.  The rows
+    are never empty: the ray (1, 0) is interior for every n and bound."""
+    body = ",\n".join(
+        _AN_BLOWUPS_ROW % (
+            row["a"], row["b"], *row["diff"], *row["ray"], row["threshold"]
+        )
+        for row in rows
+    )
+    return f"[\n{body}\n]\n"
+
+
+def _paper_check_text(document: dict) -> str:
     results = document["checks"]
     passed = sum(c["ok"] for c in results)
-    return [
+    return _text([
         f"PASS {c['id']}" if c["ok"]
         else f"FAIL {c['id']} expected={c['expected']} actual={c['actual']}"
         for c in results
-    ] + [f"{passed}/{len(results)} checks passed"]
+    ] + [f"{passed}/{len(results)} checks passed"])
 
 
-# subcommand -> (document builder, {format: view of the document}); every
-# subcommand also takes --format json, which prints the document itself.
+# subcommand -> (document builder, {format: view of the document as text});
+# a format without a view, --format json for most subcommands, prints the
+# document itself through _json_text.
 _COMMANDS = {
-    "mld": (_mld, {"text": lambda document: [document["mld"]]}),
-    "resolve": (_resolve, {"text": _resolve_lines, "dot": _dot_lines}),
-    "fano-angle": (_cone, {"text": _record_lines}),
-    "isotropy": (_cone, {"text": _record_lines}),
-    "veronese": (_veronese, {"text": _record_lines}),
-    "degenerate": (_degenerate, {"text": _record_lines}),
-    "enumerate": (_enumerate, {"text": _enumerate_lines}),
-    "an-blowups": (_an_blowups, {"text": _an_blowups_lines}),
-    "tjurina": (_tjurina, {"text": lambda document: [str(document["tjurina"])]}),
-    "paper-check": (_paper_check, {"text": _paper_check_lines}),
+    "mld": (_mld, {"text": lambda document: _text([document["mld"]])}),
+    "resolve": (_resolve, {"text": _resolve_text, "dot": _dot_text}),
+    "fano-angle": (_cone, {"text": _record_text}),
+    "isotropy": (_cone, {"text": _record_text}),
+    "veronese": (_veronese, {"text": _record_text}),
+    "degenerate": (_degenerate, {"text": _record_text}),
+    "enumerate": (_enumerate, {"text": _enumerate_text}),
+    "an-blowups": (_an_blowups, {"text": _an_blowups_text, "json": _an_blowups_json}),
+    "tjurina": (_tjurina, {"text": lambda document: _text([str(document["tjurina"])])}),
+    "paper-check": (_paper_check, {"text": _paper_check_text}),
 }
 
 
@@ -327,10 +369,7 @@ def main(argv=None) -> int:
         return _error(exc.kind, exc, 1)
     except RuntimeError as exc:  # a failed internal self-check
         return _error("INTERNAL", exc, 3)
-    if args.format == "json":
-        text = _json_text(document)
-    else:
-        text = _text(views[args.format](document))
+    text = views.get(args.format, _json_text)(document)
     if args.out is not None:
         args.out.write_text(text)
     else:
@@ -341,3 +380,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

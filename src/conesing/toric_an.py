@@ -5,6 +5,13 @@ n + 1.  Every primitive ray interior to the cone gives a star subdivision
 extracting a single divisor; the two subcone determinants (a, b) carry the
 adjunction coefficients (1 - 1/a, 1 - 1/b), so the blow-up is delta-plt
 exactly for delta below min(1/a, 1/b).
+
+For the A_n cone <(0,1), (n+1,-n)> a ray (x, y) is strictly interior
+exactly when x >= 1 and y > -n*x/(n+1), and its subcone determinants are
+a = x and b = n*x + (n+1)*y.  So the rays within a height bound H are
+walked column by column, x in 1..H and y from the first value above
+-n*x/(n+1) up to H, already in sorted order, at a cost linear in the
+rays listed plus H.
 """
 from __future__ import annotations
 
@@ -38,8 +45,16 @@ class PltBlowupRecord:
     ray: tuple[int, int]
     a: int
     b: int
-    diff: tuple[Fraction, Fraction]
-    delta_threshold: Fraction
+
+    @property
+    def diff(self) -> tuple[Fraction, Fraction]:
+        """Coefficients (1 - 1/a, 1 - 1/b) of the different on the divisor."""
+        return (Fraction(self.a - 1, self.a), Fraction(self.b - 1, self.b))
+
+    @property
+    def delta_threshold(self) -> Fraction:
+        """The blow-up is delta-plt exactly for delta below min(1/a, 1/b)."""
+        return Fraction(1, max(self.a, self.b))
 
 
 def _det(u: tuple[int, int], v: tuple[int, int]) -> int:
@@ -53,38 +68,21 @@ def an_cone(n: int) -> LatticeCone2D:
     return LatticeCone2D((0, 1), (n + 1, -n))
 
 
-def _record(cone: LatticeCone2D, ray: tuple[int, int]) -> PltBlowupRecord:
-    a = abs(_det(cone.u1, ray))
-    b = abs(_det(ray, cone.u2))
-    return PltBlowupRecord(
-        ray=ray,
-        a=a,
-        b=b,
-        diff=(Fraction(a - 1, a), Fraction(b - 1, b)),
-        delta_threshold=min(Fraction(1, a), Fraction(1, b)),
-    )
-
-
 def enumerate_plt_blowups(n: int, height_bound: int) -> tuple[PltBlowupRecord, ...]:
     """All torus-invariant plt blow-ups from primitive rays strictly inside
-    the A_n cone with max(|x|, |y|) <= height_bound."""
-    cone = an_cone(n)
+    the A_n cone with max(|x|, |y|) <= height_bound, sorted by ray."""
+    an_cone(n)  # rejects n < 1 before the bound is checked
     if height_bound < 1:
         raise ValueError("height_bound must be >= 1")
-    orientation = _det(cone.u1, cone.u2)
     records = []
-    for x in range(-height_bound, height_bound + 1):
-        for y in range(-height_bound, height_bound + 1):
-            if (x, y) == (0, 0) or gcd(abs(x), abs(y)) != 1:
-                continue
-            ray = (x, y)
-            s = _det(ray, cone.u2)
-            t = _det(cone.u1, ray)
-            # strictly interior: both barycentric coordinates positive
-            if not (s * orientation > 0 and t * orientation > 0):
-                continue
-            records.append(_record(cone, ray))
-    return tuple(sorted(records, key=lambda r: r.ray))
+    for x in range(1, height_bound + 1):
+        nx = n * x
+        # -(n*x) // (n+1) is floor(-n*x/(n+1)); the y just above it is
+        # already > -x >= -height_bound
+        for y in range(-nx // (n + 1) + 1, height_bound + 1):
+            if gcd(x, y) == 1:
+                records.append(PltBlowupRecord((x, y), x, nx + (n + 1) * y))
+    return tuple(records)
 
 
 def minimal_resolution_rays(n: int) -> tuple[tuple[int, int], ...]:
@@ -120,7 +118,8 @@ def verify_example_bounds(n: int, height_bound: int) -> AnBoundsReport:
     sum_bound_ok = all(r.a + r.b >= n + 1 for r in records)
     equality_rays = {r.ray for r in records if r.a + r.b == n + 1}
     equality_rays_ok = equality_rays == set(minimal_resolution_rays(n))
-    best = max(records, key=lambda r: (r.delta_threshold, r.ray))
+    # the largest threshold 1/max(a, b), ties broken by the largest ray
+    best = max(records, key=lambda r: (-max(r.a, r.b), r.ray))
     threshold_bound_ok = best.delta_threshold < Fraction(2, n)
     max_inside_bound = max(abs(best.ray[0]), abs(best.ray[1])) < height_bound
     return AnBoundsReport(

@@ -2,9 +2,9 @@
 
 Each one reaches an answer of the package by another route: a right-to-left
 continued-fraction evaluator for ``hj_expand``, the dense intersection
-matrix for the tree solve, and a blow-up simulator and a toric lattice
-minimizer for the mld.  No command of the package calls them, so they live
-with the tests.
+matrix for the tree solve, a blow-up simulator and a toric lattice
+minimizer for the mld, and the full box scan for the A_n plt blow-ups.  No
+command of the package calls them, so they live with the tests.
 """
 from __future__ import annotations
 
@@ -137,3 +137,40 @@ def toric_mld_oracle(seifert: SeifertData) -> Fraction:
                 best = value
     assert best is not None  # the sum of the generators always qualifies
     return best
+
+
+def an_blowups_box_scan(
+    n: int, height_bound: int
+) -> list[tuple[tuple[int, int], int, int, tuple[Fraction, Fraction], Fraction]]:
+    """(ray, a, b, diff, delta_threshold) of every primitive ray strictly
+    inside the A_n cone <(0,1), (n+1,-n)> with max(|x|, |y|) <= height_bound.
+
+    Independent of the interior walk of ``enumerate_plt_blowups``: scans the
+    whole (2H+1)^2 box, keeps the rays whose barycentric coordinates are both
+    positive, and sorts them.
+    """
+    u1, u2 = (0, 1), (n + 1, -n)
+
+    def det(u, v) -> int:
+        return u[0] * v[1] - u[1] * v[0]
+
+    orientation = det(u1, u2)
+    rows = []
+    for x in range(-height_bound, height_bound + 1):
+        for y in range(-height_bound, height_bound + 1):
+            if (x, y) == (0, 0) or gcd(abs(x), abs(y)) != 1:
+                continue
+            ray = (x, y)
+            if not (det(ray, u2) * orientation > 0 and det(u1, ray) * orientation > 0):
+                continue
+            a, b = abs(det(u1, ray)), abs(det(ray, u2))
+            rows.append(
+                (
+                    ray,
+                    a,
+                    b,
+                    (Fraction(a - 1, a), Fraction(b - 1, b)),
+                    min(Fraction(1, a), Fraction(1, b)),
+                )
+            )
+    return sorted(rows)

@@ -1,11 +1,26 @@
+import argparse
 import hashlib
 import json
 import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conesing import checks
-from conesing.cli import main
+from conesing.cli import (
+    _an_blowups,
+    _an_blowups_json,
+    _json_text,
+    _one_minus_reciprocal,
+    _reciprocal,
+    main,
+)
+from conesing.rationals import format_rational
 
 
 def run_cli(capsys, *argv):
@@ -216,6 +231,33 @@ def test_an_blowups_rows(capsys):
     assert by_ray[(1, 0)]["diff"] == ["0", "2/3"]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+)
+def test_an_blowups_json_view_is_the_json_document(n, bound):
+    document = _an_blowups(argparse.Namespace(n=n, bound=bound))
+    assert _an_blowups_json(document) == _json_text(document)
+    for row in document:
+        a, b = row["a"], row["b"]
+        assert _one_minus_reciprocal(a) == format_rational(1 - Fraction(1, a))
+        assert _one_minus_reciprocal(b) == format_rational(1 - Fraction(1, b))
+        assert _reciprocal(max(a, b)) == format_rational(min(Fraction(1, a), Fraction(1, b)))
+
+
+@pytest.mark.parametrize("module", ["conesing", "conesing.cli"])
+@pytest.mark.parametrize("divisor", ["inf:3", "inf:-3"])
+def test_python_dash_m_runs_main(capsys, module, divisor):
+    src = Path(__file__).resolve().parents[1] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-m", module, "mld", "--divisor", divisor],
+        capture_output=True, text=True, cwd=src, timeout=60,
+    )
+    code, out, err = run_cli(capsys, "mld", "--divisor", divisor)
+    assert (completed.returncode, completed.stdout, completed.stderr) == (code, out, err)
+
+
 def test_paper_check_text_reports_and_exit(capsys):
     code, out, _ = run_cli(capsys, "paper-check")
     lines = out.strip().splitlines()
@@ -351,6 +393,10 @@ PINNED_OUTPUT = [
      "c4becfefc6bec242d528f12eff07f02a6b89a27afdeea0f2e6cc234de70cb2d8"),
     ("an-blowups --n 5 --format json", 0,
      "eb7cdd89f694c2a58b3f392567882c8921db2f639ee7ef01d83eaeeab7115de8"),
+    ("an-blowups --n 60 --format json", 0,
+     "7a1bea99d92655fc8ec78b6a231a8ed58ea5db6122faad653307282640c94c4f"),
+    ("an-blowups --n 1 --bound 1 --format json", 0,
+     "a24aba1e39a03191e982492e6bf9baabcb344561e1f626b7cbe53dcefde89488"),
     ("an-blowups --n 0", 2, EMPTY),
     ("tjurina --poly x^2+y^2+z^3+z^2*w+w^4", 0,
      "f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06"),

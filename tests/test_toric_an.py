@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conesing.toric_an import (
     an_cone,
@@ -8,6 +10,7 @@ from conesing.toric_an import (
     minimal_resolution_rays,
     verify_example_bounds,
 )
+from reference import an_blowups_box_scan
 
 
 def record_for(n: int, ray: tuple[int, int], bound: int = 12):
@@ -89,3 +92,23 @@ def test_bounds_and_threshold_law_up_to_twelve():
 def test_verify_bounds_requires_reachable_minimal_resolution():
     with pytest.raises(ValueError):
         verify_example_bounds(6, 5)
+
+
+@st.composite
+def an_and_bound(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    return n, draw(st.integers(min_value=1, max_value=4 * n + 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(an_and_bound())
+def test_interior_walk_matches_box_scan(case):
+    n, bound = case
+    expected = an_blowups_box_scan(n, bound)
+    records = enumerate_plt_blowups(n, bound)
+    assert [(r.ray, r.a, r.b, r.diff, r.delta_threshold) for r in records] == expected
+    if bound >= n:
+        # the integer argmax key picks the record the Fraction key picks
+        best = max(expected, key=lambda row: (row[4], row[0]))
+        report = verify_example_bounds(n, bound)
+        assert (report.argmax_ray, report.max_threshold) == (best[0], best[4])
