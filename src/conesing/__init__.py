@@ -53,7 +53,6 @@ from .rationals import (
 from .resolution import (
     DiscrepancyReport,
     DualGraph,
-    GraphNode,
     build_graph,
     discrepancies,
 )

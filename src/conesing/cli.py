@@ -130,8 +130,8 @@ def _resolve_document(seifert: SeifertData) -> dict:
     report = resolution.discrepancies(graph)
     return {
         "nodes": [
-            {"self_intersection": n.self_intersection, "is_central": n.is_central}
-            for n in graph.nodes
+            {"self_intersection": e, "is_central": i == graph.central_index}
+            for i, e in enumerate(graph.nodes)
         ],
         "edges": [list(edge) for edge in sorted(graph.edges)],
         "log_discrepancies": [format_rational(a) for a in report.log_discrepancies],

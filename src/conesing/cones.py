@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .divisors import INF, MARKED_POINTS, PointP1, QDivisorP1
-from .errors import NotACone, NotLogFano
+from .errors import DomainError, NotACone, NotLogFano
 from .rationals import format_rational
 
 
@@ -146,7 +146,7 @@ def central_fiber_of_plt_blowup(
     if m < 1:
         raise ValueError(f"quotient degree must be >= 1, got {m}")
     if len(diff_qs) > 3:
-        raise ValueError(
+        raise DomainError(
             f"at most 3 adjunction points supported on the line, got {len(diff_qs)}"
         )
     if any(q < 2 for q in diff_qs):

@@ -4,9 +4,9 @@ The graph of a cone surface singularity has one central curve (the vertex
 blow-up divisor) with Hirzebruch-Jung chains attached.  Log discrepancies
 solve the adjunction system
     sum_j (a_j - 1) (E_j . E_i) = -2 - E_i^2     for every i,
-valid because every exceptional curve here is rational.  The graph is a
-tree, so the system is solved by elimination from the leaves towards the
-central node in O(n), and the answer is re-checked exactly node by node.
+valid because every exceptional curve here is rational.  It is solved
+chain by chain, eliminating each from its far end towards the central
+curve in O(n), and the answer is re-checked exactly node by node.
 For an lc germ the minimum over the graph is its minimal log discrepancy.
 """
 from __future__ import annotations
@@ -22,77 +22,37 @@ from .rationals import solve_linear  # noqa: F401
 
 
 @dataclass(frozen=True)
-class GraphNode:
-    self_intersection: int
-    is_central: bool = False
+class DualGraph:
+    """Star-shaped dual graph: a central curve E_0 with E_0^2 = -b and one
+    Hirzebruch-Jung chain per branch.  ``chains[k]`` lists the c's
+    (E^2 = -c) of branch k, starting from the curve that meets E_0.
+
+    Nodes are numbered E_0 first, then each chain in order.
+    """
+
+    b: int
+    chains: tuple[tuple[int, ...], ...] = ()
+
+    central_index = 0
 
     def __post_init__(self):
-        if self.self_intersection > -1:
-            raise ValueError(
-                f"self-intersection must be <= -1, got {self.self_intersection}"
-            )
-
-
-class DualGraph:
-    """Star-shaped dual graph: one central node, chains hanging off it."""
-
-    __slots__ = ("nodes", "edges")
-
-    def __init__(self, nodes, edges):
-        self.nodes: tuple[GraphNode, ...] = tuple(nodes)
-        normalized = set()
-        for i, j in edges:
-            if i == j:
-                raise ValueError("self-loop")
-            if not (0 <= i < len(self.nodes) and 0 <= j < len(self.nodes)):
-                raise ValueError(f"edge ({i}, {j}) out of range")
-            normalized.add((min(i, j), max(i, j)))
-        self.edges: frozenset[tuple[int, int]] = frozenset(normalized)
-        self._validate()
-
-    def _validate(self):
-        n = len(self.nodes)
-        centrals = [i for i, node in enumerate(self.nodes) if node.is_central]
-        if len(centrals) != 1:
-            raise ValueError(f"need exactly one central node, got {len(centrals)}")
-        if len(self.edges) != n - 1:
-            raise ValueError("graph must be a tree")
-        # connectivity, and degree <= 2 away from the center
-        adjacency = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            for neighbor in adjacency[stack.pop()]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        if len(seen) != n:
-            raise ValueError("graph must be connected")
-        for i in range(n):
-            if not self.nodes[i].is_central and len(adjacency[i]) > 2:
-                raise ValueError(f"non-central node {i} has degree {len(adjacency[i])}")
-
-    def adjacency(self) -> list[set[int]]:
-        adjacency: list[set[int]] = [set() for _ in self.nodes]
-        for i, j in self.edges:
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-        return adjacency
+        if self.b < 1 or any(c < 2 for chain in self.chains for c in chain):
+            raise ValueError(f"need b >= 1 and every c >= 2, got {self.b}, {self.chains}")
 
     @property
-    def central_index(self) -> int:
-        return next(i for i, node in enumerate(self.nodes) if node.is_central)
+    def nodes(self) -> tuple[int, ...]:
+        """Self-intersections, in node order."""
+        return (-self.b, *(-c for chain in self.chains for c in chain))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DualGraph)
-            and self.nodes == other.nodes
-            and self.edges == other.edges
-        )
-
-    def __repr__(self) -> str:
-        ints = [node.self_intersection for node in self.nodes]
-        return f"DualGraph({ints}, central={self.central_index}, edges={sorted(self.edges)})"
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        edges = set()
+        start = 1
+        for chain in self.chains:
+            curves = range(start, start + len(chain))
+            edges.update(zip((0, *curves), curves))
+            start += len(chain)
+        return frozenset(edges)
 
 
 @dataclass(frozen=True)
@@ -111,17 +71,12 @@ class DiscrepancyReport:
 
 
 def build_graph(seifert: SeifertData) -> DualGraph:
-    """Star-shaped graph of Seifert data: central node -b, one
-    Hirzebruch-Jung chain per branch attached at its first node."""
-    nodes = [GraphNode(-seifert.b, is_central=True)]
-    edges = []
-    for alpha, beta in seifert.branches:
-        previous = 0
-        for c in hj_expand(alpha, beta):
-            nodes.append(GraphNode(-c))
-            edges.append((previous, len(nodes) - 1))
-            previous = len(nodes) - 1
-    return DualGraph(nodes, edges)
+    """Star-shaped graph of Seifert data: central curve -b, one
+    Hirzebruch-Jung chain per branch."""
+    return DualGraph(
+        seifert.b,
+        tuple(tuple(hj_expand(alpha, beta)) for alpha, beta in seifert.branches),
+    )
 
 
 def discrepancies(graph: DualGraph) -> DiscrepancyReport:
@@ -130,37 +85,44 @@ def discrepancies(graph: DualGraph) -> DiscrepancyReport:
     numerical Q-Cartier criterion valid for these rational singularities).
 
     With x_i = a_i - 1 the system reads E_i^2 x_i + sum_{j ~ i} x_j = r_i,
-    r_i = -2 - E_i^2.  Leaves are eliminated towards the central node by the
-    Schur updates d_p -= 1/d_v, r_p -= r_v/d_v, then x_v = (r_v - x_p)/d_v
-    going back down.  The d_v are the pivots of an LDL^T elimination, so
-    the matrix is negative definite iff every one of them is negative.
+    r_i = -2 - E_i^2.  Each chain is eliminated from its far end towards
+    E_0 by d <- -c - 1/d, r <- c - 2 - r/d; E_0 is solved, and x = (r - x')/d
+    is substituted back out along each chain, x' the neighbour nearer E_0.
+    The d are the pivots of an LDL^T elimination, so the matrix is negative
+    definite iff every one of them is negative.
     """
-    adjacency = graph.adjacency()
-    root = graph.central_index
-    parent = {root: None}
-    order = [root]  # breadth first: every parent before its children
-    for v in order:
-        for w in adjacency[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    squares = [node.self_intersection for node in graph.nodes]
-    d = [Fraction(e) for e in squares]
-    r = [Fraction(-2 - e) for e in squares]
-    for v in reversed(order):
-        if d[v] >= 0:
-            raise NotContractible("intersection matrix is not negative definite")
-        p = parent[v]
-        if p is not None:
-            d[p] -= 1 / d[v]
-            r[p] -= r[v] / d[v]
-    x = [Fraction(0)] * len(d)
-    x[root] = r[root] / d[root]
-    for v in order[1:]:
-        x[v] = (r[v] - x[parent[v]]) / d[v]
-    for i, e in enumerate(squares):
-        if e * x[i] + sum(x[j] for j in adjacency[i]) != -2 - e:
-            raise RuntimeError("exact solve verification failed")
+    b = graph.b
+    d0, r0 = Fraction(-b), Fraction(b - 2)
+    eliminated = []
+    for chain in graph.chains:
+        steps = []
+        inverse = quotient = Fraction(0)  # 1/d and r/d of the curve just eliminated
+        for c in reversed(chain):
+            d = -c - inverse
+            if d >= 0:
+                raise NotContractible("intersection matrix is not negative definite")
+            r = c - 2 - quotient
+            inverse, quotient = 1 / d, r / d
+            steps.append((d, r))
+        d0 -= inverse
+        r0 -= quotient
+        eliminated.append(steps)
+    if d0 >= 0:
+        raise NotContractible("intersection matrix is not negative definite")
+    x = [r0 / d0]
+    central = -b * x[0]
+    for chain, steps in zip(graph.chains, eliminated):
+        arm = [x[0]]
+        for d, r in reversed(steps):
+            arm.append((r - arm[-1]) / d)
+        arm.append(0)  # nothing beyond the far end
+        for i, c in enumerate(chain, 1):
+            if arm[i - 1] - c * arm[i] + arm[i + 1] != c - 2:
+                raise RuntimeError("exact solve verification failed")
+        central += arm[1]
+        x.extend(arm[1:-1])
+    if central != b - 2:
+        raise RuntimeError("exact solve verification failed")
     log_discrepancies = tuple(1 + value for value in x)
     mld = min(log_discrepancies)
     return DiscrepancyReport(

@@ -1,10 +1,11 @@
 """Reference oracles the tests check the package against.
 
 Each one reaches an answer of the package by another route: a right-to-left
-continued-fraction evaluator for ``hj_expand``, the dense intersection
-matrix for the tree solve, a blow-up simulator and a toric lattice
-minimizer for the mld, and the full box scan for the A_n plt blow-ups.  No
-command of the package calls them, so they live with the tests.
+continued-fraction evaluator for ``hj_expand``, an append-and-link builder
+for the graph's node numbering, the dense intersection matrix for the tree
+solve, a blow-up simulator and a toric lattice minimizer for the mld, and
+the full box scan for the A_n plt blow-ups.  No command of the package
+calls them, so they live with the tests.
 """
 from __future__ import annotations
 
@@ -31,12 +32,27 @@ def continued_fraction_value(coeffs: Sequence[int]) -> Fraction:
     return value
 
 
+def star_graph(seifert: SeifertData) -> tuple[tuple[int, ...], frozenset[tuple[int, int]]]:
+    """Self-intersections and edges of the resolution graph, built by
+    appending each chain curve and linking it to the one before; an oracle
+    for the node numbering that ``resolve`` and the dot files print."""
+    nodes = [-seifert.b]
+    edges = set()
+    for alpha, beta in seifert.branches:
+        previous = 0
+        for c in hj_expand(alpha, beta):
+            nodes.append(-c)
+            edges.add((previous, len(nodes) - 1))
+            previous = len(nodes) - 1
+    return tuple(nodes), frozenset(edges)
+
+
 def intersection_matrix(graph: DualGraph) -> RationalMatrix:
     """Dense intersection matrix; an oracle for the tree solve."""
     n = len(graph.nodes)
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, node in enumerate(graph.nodes):
-        rows[i][i] = Fraction(node.self_intersection)
+    for i, e in enumerate(graph.nodes):
+        rows[i][i] = Fraction(e)
     for i, j in graph.edges:
         rows[i][j] = Fraction(1)
         rows[j][i] = Fraction(1)

@@ -157,6 +157,14 @@ def test_degenerate_record(capsys):
     assert code == 1
     assert json.loads(err)["error"] == "NOT_A_CONE"
 
+    # a well-formed divisor with four adjunction points is out of range, not misused
+    code, _, err = run_cli(capsys, "degenerate", "--divisor", "0:1/2,1:1/2,2:1/2,inf:1/2")
+    assert code == 1
+    assert json.loads(err)["error"] == "DOMAIN_ERROR"
+    code, _, err = run_cli(capsys, "degenerate", "--divisor", "0:1/2,inf:1/2", "--m", "0")
+    assert code == 2
+    assert "usage error" in err
+
 
 def test_enumerate_json_catalog(capsys, tmp_path):
     out_path = tmp_path / "catalog.json"
@@ -374,7 +382,7 @@ PINNED_OUTPUT = [
     ("degenerate --divisor 0:3/7,1:5/11,inf:1/13 --format json", 0,
      "e890c3a88c7fa6af43e11a029c83ce4bc6215b7fd608d96ac06a7ab3b0af2dab"),
     ("degenerate --divisor 0:1/2,inf:1/2 --m 3", 1, EMPTY),
-    ("degenerate --divisor 0:1/2,1:1/2,2:1/2,inf:1/2", 2, EMPTY),
+    ("degenerate --divisor 0:1/2,1:1/2,2:1/2,inf:1/2", 1, EMPTY),
     ("enumerate --epsilon0 1/2 --isotropy 2", 0,
      "c8328dbe4bb02d06193fb1f364e74357a266e27ebc7b8d0b604e1721cbe69de6"),
     ("enumerate --epsilon0 1/2 --isotropy 2 --format json", 0,

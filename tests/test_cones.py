@@ -16,7 +16,7 @@ from conesing.cones import (
     vertex_log_discrepancy,
 )
 from conesing.divisors import INF, PointP1, QDivisorP1
-from conesing.errors import NotACone, NotLogFano
+from conesing.errors import DomainError, NotACone, NotLogFano
 
 E8_TRIPLE = ConeTriple(QDivisorP1.parse("0:1/2,1:1/3,inf:-4/5"))
 
@@ -126,7 +126,7 @@ def test_central_fiber_rejects_bad_data():
         central_fiber_of_plt_blowup([], Fraction(1, 2), 1)
     with pytest.raises(NotACone):
         central_fiber_of_plt_blowup([3], Fraction(1), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         central_fiber_of_plt_blowup([2, 2, 2, 2], Fraction(1), 4)
     with pytest.raises(NotACone):
         central_fiber_of_plt_blowup([2], Fraction(-1), 2)

@@ -13,12 +13,11 @@ from conesing.errors import NotContractible
 from conesing.rationals import RationalMatrix, is_negative_definite, solve_linear
 from conesing.resolution import (
     DualGraph,
-    GraphNode,
     build_graph,
     central_log_discrepancy,
     discrepancies,
 )
-from reference import intersection_matrix, mld_blowup_oracle, toric_mld_oracle
+from reference import intersection_matrix, mld_blowup_oracle, star_graph, toric_mld_oracle
 
 
 def pt(x) -> PointP1:
@@ -31,63 +30,36 @@ def single_node(d: int) -> DualGraph:
 
 def test_build_graph_single_node():
     graph = single_node(5)
-    assert [n.self_intersection for n in graph.nodes] == [-5]
+    assert graph == DualGraph(5)
+    assert graph.nodes == (-5,)
     assert graph.edges == frozenset()
     assert graph.central_index == 0
 
 
 def test_build_graph_a3_chain():
     graph = build_graph(SeifertData(2, ((2, 1), (2, 1))))
-    assert [n.self_intersection for n in graph.nodes] == [-2, -2, -2]
+    assert graph == DualGraph(2, ((2,), (2,)))
+    assert graph.nodes == (-2, -2, -2)
     assert graph.edges == frozenset({(0, 1), (0, 2)})
-    assert graph.nodes[0].is_central
 
 
 def test_build_graph_e8_star():
     graph = build_graph(SeifertData(2, ((2, 1), (3, 2), (5, 4))))
-    assert all(n.self_intersection == -2 for n in graph.nodes)
-    assert len(graph.nodes) == 8
-    adjacency = graph.adjacency()
-    assert len(adjacency[0]) == 3  # center carries the three arms
-    arm_lengths = sorted(len(chain) for chain in _arms(graph))
-    assert arm_lengths == [1, 2, 4]
-
-
-def _arms(graph: DualGraph) -> list[list[int]]:
-    adjacency = graph.adjacency()
-    center = graph.central_index
-    arms = []
-    for start in sorted(adjacency[center]):
-        arm = [start]
-        previous, current = center, start
-        while True:
-            following = [k for k in adjacency[current] if k != previous]
-            if not following:
-                break
-            previous, current = current, following[0]
-            arm.append(current)
-        arms.append(arm)
-    return arms
+    assert graph.chains == ((2,), (2, 2), (2, 2, 2, 2))
+    assert graph.nodes == (-2,) * 8
+    assert sum(1 for edge in graph.edges if 0 in edge) == 3  # center carries the three arms
 
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        DualGraph([GraphNode(-2), GraphNode(-2)], [(0, 1)])  # no center
+        DualGraph(0)
     with pytest.raises(ValueError):
-        DualGraph([GraphNode(-2, True), GraphNode(-2)], [])  # disconnected
-    with pytest.raises(ValueError):
-        GraphNode(0)
-    with pytest.raises(ValueError):
-        # center at the end, a degree-3 fork in the middle of an arm
-        DualGraph(
-            [GraphNode(-2, True), GraphNode(-2), GraphNode(-2), GraphNode(-2), GraphNode(-2)],
-            [(0, 1), (1, 2), (1, 3), (1, 4)],
-        )
+        DualGraph(2, ((2, 1),))
 
 
 def test_intersection_matrix():
     assert intersection_matrix(single_node(3)) == RationalMatrix.from_rows([[-3]])
-    chain = DualGraph([GraphNode(-2, True), GraphNode(-2)], [(0, 1)])
+    chain = DualGraph(2, ((2,),))
     assert intersection_matrix(chain) == RationalMatrix.from_rows([[-2, 1], [1, -2]])
 
 
@@ -150,9 +122,7 @@ def test_central_node_identity_across_triples():
 
 def test_blowup_oracle_examples():
     assert mld_blowup_oracle(single_node(4), 3) == Fraction(1, 2)
-    chain = DualGraph(
-        [GraphNode(-2), GraphNode(-2, True), GraphNode(-2)], [(0, 1), (1, 2)]
-    )
+    chain = DualGraph(2, ((2,), (2,)))  # the center in the middle of a chain
     assert mld_blowup_oracle(chain, 3) == 1
     assert mld_blowup_oracle(single_node(1), 5) == 2
 
@@ -230,6 +200,13 @@ def seifert_data(draw) -> SeifertData:
     return SeifertData(draw(st.integers(1, 4)), tuple(branches))
 
 
+@settings(max_examples=200, deadline=None)
+@given(seifert_data())
+def test_node_numbering_matches_append_and_link(data):
+    graph = build_graph(data)
+    assert (graph.nodes, graph.edges) == star_graph(data)
+
+
 @settings(max_examples=300, deadline=None)
 @given(seifert_data())
 def test_tree_solve_matches_dense_oracle(data):
@@ -242,7 +219,7 @@ def test_tree_solve_matches_dense_oracle(data):
         with pytest.raises(NotContractible):
             discrepancies(graph)
         return
-    rhs = [-2 - node.self_intersection for node in graph.nodes]
+    rhs = [-2 - e for e in graph.nodes]
     expected = tuple(1 + x for x in solve_linear(matrix, rhs))
     report = discrepancies(graph)
     assert report.log_discrepancies == expected
