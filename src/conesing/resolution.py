@@ -4,10 +4,13 @@ The graph of a cone surface singularity has one central curve (the vertex
 blow-up divisor) with Hirzebruch-Jung chains attached.  Log discrepancies
 solve the adjunction system
     sum_j (a_j - 1) (E_j . E_i) = -2 - E_i^2     for every i,
-valid because every exceptional curve here is rational.  It is solved
-chain by chain, eliminating each from its far end towards the central
-curve in O(n), and the answer is re-checked exactly node by node.
-For an lc germ the minimum over the graph is its minimal log discrepancy.
+valid because every exceptional curve here is rational.  It has a closed
+form in the Seifert integers (b; (alpha_i, beta_i)) of the star: the graph
+is contractible iff deg = b - sum beta_i/alpha_i > 0 (Orlik-Wagreich), the
+central curve has a_0 = (2 - sum (1 - 1/alpha_i)) / deg, and each chain
+follows from a_0 by a forward recurrence that must end at 1, an exact
+self-check.  For an lc germ the minimum over the graph is its minimal log
+discrepancy.
 """
 from __future__ import annotations
 
@@ -84,54 +87,39 @@ def discrepancies(graph: DualGraph) -> DiscrepancyReport:
     the lcm of the discrepancy denominators (the canonical index, by the
     numerical Q-Cartier criterion valid for these rational singularities).
 
-    With x_i = a_i - 1 the system reads E_i^2 x_i + sum_{j ~ i} x_j = r_i,
-    r_i = -2 - E_i^2.  Each chain is eliminated from its far end towards
-    E_0 by d <- -c - 1/d, r <- c - 2 - r/d; E_0 is solved, and x = (r - x')/d
-    is substituted back out along each chain, x' the neighbour nearer E_0.
-    The d are the pivots of an LDL^T elimination, so the matrix is negative
-    definite iff every one of them is negative.
+    Each chain c_1, ..., c_L is the Hirzebruch-Jung expansion of some
+    alpha/beta, recovered from the far end by (alpha, beta) <- (c*alpha -
+    beta, alpha).  The graph is negative definite iff deg = b - sum
+    beta/alpha > 0 (Orlik-Wagreich); otherwise NotContractible.  The central
+    curve has a_0 = (2 - sum (1 - 1/alpha)) / deg, the first curve of a chain
+    a_1 = (beta a_0 + 1) / alpha, and the adjunction equation of curve k is
+    the recurrence a_{k+1} = c_k a_k - a_{k-1}.  Past the far end the value
+    must be a_{L+1} = 1; that end value is checked exactly.
     """
-    b = graph.b
-    d0, r0 = Fraction(-b), Fraction(b - 2)
-    eliminated = []
+    branches = []
     for chain in graph.chains:
-        steps = []
-        inverse = quotient = Fraction(0)  # 1/d and r/d of the curve just eliminated
+        alpha, beta = 1, 0
         for c in reversed(chain):
-            d = -c - inverse
-            if d >= 0:
-                raise NotContractible("intersection matrix is not negative definite")
-            r = c - 2 - quotient
-            inverse, quotient = 1 / d, r / d
-            steps.append((d, r))
-        d0 -= inverse
-        r0 -= quotient
-        eliminated.append(steps)
-    if d0 >= 0:
+            alpha, beta = c * alpha - beta, alpha
+        branches.append((alpha, beta))
+    degree = graph.b - sum((Fraction(beta, alpha) for alpha, beta in branches), Fraction(0))
+    if degree <= 0:
         raise NotContractible("intersection matrix is not negative definite")
-    x = [r0 / d0]
-    central = -b * x[0]
-    for chain, steps in zip(graph.chains, eliminated):
-        arm = [x[0]]
-        for d, r in reversed(steps):
-            arm.append((r - arm[-1]) / d)
-        arm.append(0)  # nothing beyond the far end
-        for i, c in enumerate(chain, 1):
-            if arm[i - 1] - c * arm[i] + arm[i + 1] != c - 2:
-                raise RuntimeError("exact solve verification failed")
-        central += arm[1]
-        x.extend(arm[1:-1])
-    if central != b - 2:
-        raise RuntimeError("exact solve verification failed")
-    log_discrepancies = tuple(1 + value for value in x)
-    mld = min(log_discrepancies)
+    central = (2 - sum(1 - Fraction(1, alpha) for alpha, _ in branches)) / degree
+    log_discrepancies = [central]
+    for chain, (alpha, beta) in zip(graph.chains, branches):
+        # numerators over the common denominator of a_0 and a_1
+        denominator = alpha * central.denominator
+        previous = alpha * central.numerator
+        current = beta * central.numerator + central.denominator
+        for c in chain:
+            log_discrepancies.append(Fraction(current, denominator))
+            previous, current = current, c * current - previous
+        if current != denominator:
+            raise RuntimeError("exact solve verification failed")
     return DiscrepancyReport(
-        log_discrepancies=log_discrepancies,
-        mld=mld,
+        log_discrepancies=tuple(log_discrepancies),
+        mld=min(log_discrepancies),
         is_klt=all(a > 0 for a in log_discrepancies),
         canonical_index=lcm_of_denominators(log_discrepancies),
     )
-
-
-def central_log_discrepancy(graph: DualGraph) -> Fraction:
-    return discrepancies(graph).log_discrepancies[graph.central_index]

@@ -2,10 +2,12 @@
 
 Each one reaches an answer of the package by another route: a right-to-left
 continued-fraction evaluator for ``hj_expand``, an append-and-link builder
-for the graph's node numbering, the dense intersection matrix for the tree
-solve, a blow-up simulator and a toric lattice minimizer for the mld, and
-the full box scan for the A_n plt blow-ups.  No command of the package
-calls them, so they live with the tests.
+for the graph's node numbering, the dense intersection matrix and the
+chain-by-chain elimination for the closed-form discrepancies, a blow-up
+simulator and a toric lattice minimizer for the mld, the divisor-object
+classifier for the integer catalog, and the full box scan for the A_n plt
+blow-ups.  No command of the package calls them, so they live with the
+tests.
 """
 from __future__ import annotations
 
@@ -13,10 +15,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from conesing.divisors import SeifertData
+from conesing import cones
+from conesing.catalog import CatalogEntry, a_inf_range
+from conesing.cones import ConeTriple
+from conesing.divisors import MARKED_POINTS, QDivisorP1, SeifertData
 from conesing.errors import NotContractible
-from conesing.rationals import RationalMatrix, hj_expand
-from conesing.resolution import DualGraph, discrepancies
+from conesing.rationals import RationalMatrix, hj_expand, lcm_of_denominators
+from conesing.resolution import DiscrepancyReport, DualGraph, build_graph, discrepancies
 
 
 def continued_fraction_value(coeffs: Sequence[int]) -> Fraction:
@@ -57,6 +62,113 @@ def intersection_matrix(graph: DualGraph) -> RationalMatrix:
         rows[i][j] = Fraction(1)
         rows[j][i] = Fraction(1)
     return RationalMatrix.from_rows(rows)
+
+
+def elimination_discrepancies(graph: DualGraph) -> DiscrepancyReport:
+    """The adjunction system solved by elimination; an oracle for the
+    closed-form ``discrepancies``.
+
+    With x_i = a_i - 1 the system reads E_i^2 x_i + sum_{j ~ i} x_j = r_i,
+    r_i = -2 - E_i^2.  Each chain is eliminated from its far end towards
+    E_0 by d <- -c - 1/d, r <- c - 2 - r/d; E_0 is solved, and x = (r - x')/d
+    is substituted back out along each chain, x' the neighbour nearer E_0.
+    The d are the pivots of an LDL^T elimination, so the matrix is negative
+    definite iff every one of them is negative.  The answer is re-checked
+    on every node.
+    """
+    b = graph.b
+    d0, r0 = Fraction(-b), Fraction(b - 2)
+    eliminated = []
+    for chain in graph.chains:
+        steps = []
+        inverse = quotient = Fraction(0)  # 1/d and r/d of the curve just eliminated
+        for c in reversed(chain):
+            d = -c - inverse
+            if d >= 0:
+                raise NotContractible("intersection matrix is not negative definite")
+            r = c - 2 - quotient
+            inverse, quotient = 1 / d, r / d
+            steps.append((d, r))
+        d0 -= inverse
+        r0 -= quotient
+        eliminated.append(steps)
+    if d0 >= 0:
+        raise NotContractible("intersection matrix is not negative definite")
+    x = [r0 / d0]
+    central = -b * x[0]
+    for chain, steps in zip(graph.chains, eliminated):
+        arm = [x[0]]
+        for d, r in reversed(steps):
+            arm.append((r - arm[-1]) / d)
+        arm.append(0)  # nothing beyond the far end
+        for i, c in enumerate(chain, 1):
+            if arm[i - 1] - c * arm[i] + arm[i + 1] != c - 2:
+                raise RuntimeError("exact solve verification failed")
+        central += arm[1]
+        x.extend(arm[1:-1])
+    if central != b - 2:
+        raise RuntimeError("exact solve verification failed")
+    log_discrepancies = tuple(1 + value for value in x)
+    return DiscrepancyReport(
+        log_discrepancies=log_discrepancies,
+        mld=min(log_discrepancies),
+        is_klt=all(a > 0 for a in log_discrepancies),
+        canonical_index=lcm_of_denominators(log_discrepancies),
+    )
+
+
+def classify_by_objects(divisor: QDivisorP1) -> CatalogEntry | None:
+    """Invariants of a candidate polarization through the divisor objects:
+    klt by building the quotient pair, the Seifert form by
+    ``normalize_seifert``, the Fano angle from the quotient pair.  None when
+    the candidate is not a klt cone.  An oracle for the integer classifier
+    of ``enumerate_catalog``."""
+    if divisor.degree() <= 0:
+        return None
+    triple = ConeTriple(divisor)
+    if not cones.is_klt_cone(triple):
+        return None
+    seifert = divisor.normalize_seifert()
+    report = discrepancies(build_graph(seifert))
+    if not report.is_klt:
+        return None
+    return CatalogEntry(
+        triple=triple,
+        seifert=seifert,
+        mld=report.mld,
+        fano_angle=cones.fano_angle(triple),
+        max_isotropy=cones.max_isotropy(triple),
+        canonical_index=report.canonical_index,
+    )
+
+
+def catalog_by_objects(epsilon0: Fraction, n_isotropy: int) -> tuple[CatalogEntry, ...]:
+    """The catalog from every grid point of the a_inf windows: canonical
+    forms found by skipping the non-descending ones, each classified by
+    ``classify_by_objects`` and filtered on isotropy and mld."""
+    found = []
+    for a0 in range(n_isotropy):
+        for a1 in range(a0 + 1):
+            for a_inf in a_inf_range(epsilon0, n_isotropy, a0, a1):
+                if a_inf % n_isotropy > a1:
+                    continue
+                coeffs = (Fraction(num, n_isotropy) for num in (a0, a1, a_inf))
+                entry = classify_by_objects(QDivisorP1(dict(zip(MARKED_POINTS, coeffs))))
+                if entry is None:
+                    continue
+                if entry.max_isotropy > n_isotropy or entry.mld < epsilon0:
+                    continue
+                found.append(entry)
+    return tuple(
+        sorted(
+            found,
+            key=lambda e: (
+                e.triple.polarization.degree(),
+                e.mld,
+                str(e.triple.polarization),
+            ),
+        )
+    )
 
 
 def mld_blowup_oracle(graph: DualGraph, rounds: int) -> Fraction:

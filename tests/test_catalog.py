@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conesing import catalog
+from conesing import catalog, resolution
 from conesing.catalog import (
     a_inf_range,
     catalog_consistency_check,
@@ -14,6 +14,8 @@ from conesing.catalog import (
 )
 from conesing.cones import ConeTriple
 from conesing.divisors import INF, MARKED_POINTS, ONE, ZERO, QDivisorP1
+from conesing.errors import DomainError
+from reference import catalog_by_objects
 
 
 def forms(entries) -> set[QDivisorP1]:
@@ -133,22 +135,72 @@ def test_catalog_walks_each_canonical_form_once(monkeypatch):
         (Fraction(2, 3), 4),
         (Fraction(1, 3), 5),
     ]:
-        seen: list[QDivisorP1] = []
+        seen: list[tuple[int, int, int]] = []
 
-        def recording(divisor):
-            seen.append(divisor)
-            return true_classify(divisor)
+        def recording(epsilon0, n_isotropy, a0, a1, a_inf):
+            seen.append((a0, a1, a_inf))
+            return true_classify(epsilon0, n_isotropy, a0, a1, a_inf)
 
         monkeypatch.setattr(catalog, "_classify", recording)
         entries = enumerate_catalog(epsilon0, n)
         monkeypatch.undo()
-        assert len(set(seen)) == len(seen), (epsilon0, n)
-        assert all(divisor.canonical_form() == divisor for divisor in seen)
+        divisors = [
+            QDivisorP1(dict(zip(MARKED_POINTS, (Fraction(a, n) for a in nums))))
+            for nums in seen
+        ]
+        assert len(set(divisors)) == len(divisors), (epsilon0, n)
+        assert all(divisor.canonical_form() == divisor for divisor in divisors)
         expected = {divisor.canonical_form() for divisor in _full_grid(epsilon0, n)}
-        assert set(seen) == expected, (epsilon0, n)
+        assert set(divisors) == expected, (epsilon0, n)
         assert all(entry.max_isotropy <= n for entry in entries)
         if n >= 2:  # ties a0 == a1 are walked too
-            assert any(d.coeff(ZERO) == d.coeff(ONE) != 0 for d in seen)
+            assert any(d.coeff(ZERO) == d.coeff(ONE) != 0 for d in divisors)
+
+
+def test_candidate_count_matches_the_walk(monkeypatch):
+    walked = []
+    monkeypatch.setattr(catalog, "_classify", lambda *candidate: walked.append(candidate))
+    for n in range(1, 9):
+        for epsilon0 in (Fraction(2), Fraction(1), Fraction(2, 3), Fraction(1, n), Fraction(3, 7)):
+            walked.clear()
+            enumerate_catalog(epsilon0, n)
+            assert len(walked) == catalog.candidate_count(epsilon0, n), (epsilon0, n)
+
+
+def test_enumerate_refuses_walks_above_the_cap():
+    # (1/1000, 6) walks 2000 whole periods of the 56 residue pairs
+    assert catalog.candidate_count(Fraction(1, 1000), 6) == 112000 <= catalog.MAX_CANDIDATES
+    with pytest.raises(DomainError, match="1120000 candidates"):
+        enumerate_catalog(Fraction(1, 10000), 6)
+    with pytest.raises(DomainError):  # refused from the lower bound alone
+        enumerate_catalog(Fraction(2), 10**6)
+
+
+@pytest.mark.parametrize(
+    ("epsilon0", "n", "solves"),
+    [(Fraction(1, 2), 4, 22), (Fraction(1, 6), 6, 117), (Fraction(1, 10), 10, 314)],
+)
+def test_catalog_solves_only_candidates_past_the_vertex_bound(monkeypatch, epsilon0, n, solves):
+    true_solver = resolution.discrepancies
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return true_solver(graph)
+
+    monkeypatch.setattr(resolution, "discrepancies", counting)
+    entries = enumerate_catalog(epsilon0, n)
+    assert len(calls) == solves
+    assert len(entries) <= solves
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integer_classifier_matches_divisor_objects(n):
+    for k in range(1, n + 1):
+        epsilon0 = Fraction(1, k)
+        assert catalog.catalog_json_text(
+            epsilon0, n, enumerate_catalog(epsilon0, n)
+        ) == catalog.catalog_json_text(epsilon0, n, catalog_by_objects(epsilon0, n)), k
 
 
 @pytest.mark.parametrize(

@@ -195,6 +195,20 @@ def test_enumerate_byte_stability(capsys):
     assert first == second
 
 
+def test_enumerate_above_the_candidate_cap_is_a_domain_error(capsys, tmp_path):
+    json_path = tmp_path / "catalog.json"
+    code, out, err = run_cli(
+        capsys, "enumerate", "--epsilon0", "1/10000", "--isotropy", "6",
+        "--format", "json", "--json", str(json_path),
+    )
+    assert code == 1
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "DOMAIN_ERROR"
+    assert "1120000 candidates" in record["message"]
+    assert not json_path.exists()
+
+
 def test_tjurina_cli(capsys):
     code, out, _ = run_cli(capsys, "tjurina", "--family-n", "5", "--t", "1")
     assert code == 0

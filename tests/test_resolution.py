@@ -14,10 +14,15 @@ from conesing.rationals import RationalMatrix, is_negative_definite, solve_linea
 from conesing.resolution import (
     DualGraph,
     build_graph,
-    central_log_discrepancy,
     discrepancies,
 )
-from reference import intersection_matrix, mld_blowup_oracle, star_graph, toric_mld_oracle
+from reference import (
+    elimination_discrepancies,
+    intersection_matrix,
+    mld_blowup_oracle,
+    star_graph,
+    toric_mld_oracle,
+)
 
 
 def pt(x) -> PointP1:
@@ -116,7 +121,8 @@ def test_central_node_identity_across_triples():
         if not is_klt_cone(triple):
             continue
         graph = build_graph(divisor.normalize_seifert())
-        assert central_log_discrepancy(graph) == vertex_log_discrepancy(triple)
+        central = discrepancies(graph).log_discrepancies[graph.central_index]
+        assert central == vertex_log_discrepancy(triple)
         checked += 1
 
 
@@ -226,6 +232,26 @@ def test_tree_solve_matches_dense_oracle(data):
     assert report.mld == min(expected)
     assert report.is_klt == all(a > 0 for a in expected)
     assert report.canonical_index == lcm(*(a.denominator for a in expected))
+
+
+@st.composite
+def dual_graphs(draw) -> DualGraph:
+    """0 to 5 chains of up to 6 curves; small b, so graphs that are not lc
+    (some a < 0) or not contractible (degree <= 0) are drawn often."""
+    chains = draw(st.lists(st.lists(st.integers(2, 7), min_size=1, max_size=6), max_size=5))
+    return DualGraph(draw(st.integers(1, 5)), tuple(map(tuple, chains)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dual_graphs())
+def test_closed_form_matches_elimination(graph):
+    try:
+        expected = elimination_discrepancies(graph)
+    except NotContractible:
+        with pytest.raises(NotContractible):
+            discrepancies(graph)
+        return
+    assert discrepancies(graph) == expected
 
 
 def _central_by_formula(data: SeifertData) -> Fraction:
