@@ -2,20 +2,21 @@
 
 For a log-discrepancy floor epsilon0 and an isotropy bound N, every such
 cone is, up to isomorphism and linear equivalence, polarized by one canonical
-form D = (a0/N) {0} + (a1/N) {1} + (a_inf/N) {inf}: fractional parts
-descending, N > a0 >= a1 >= a_inf mod N, the integer part at infinity, and
-a_inf in the finite window (-(a0+a1), 2N/epsilon0 - (a0+a1)]: the lower end
-is ampleness, the upper end is the Fano-angle bound r <= 1/epsilon0.
-Enumerating that grid and filtering by the exact invariants yields the full
-(finite) catalog, each class exactly once.
+form D = (r0 {0} + r1 {1} + (r2 + N m) {inf}) / N: a descending residue
+shape N > r0 >= r1 >= r2 >= 0 of the fractional parts, and the integer part
+m at infinity.  Enumerating those forms and filtering by the exact
+invariants yields the full (finite) catalog, each class exactly once.
 
-Candidates are classified from the integers (a0, a1, a_inf) alone: the
-fractional parts p/q, the Seifert form (b; (q, q - p)), klt-ness of the
-quotient pair (sum (1 - 1/q) < 2), the isotropy lcm q and the central log
-discrepancy 1/r.  Since the mld is at most 1/r, a candidate with
-1/r < epsilon0 is rejected exactly before any graph is solved; divisor and
-cone objects are built only for the entries kept.  The walk is refused
-with a DomainError above MAX_CANDIDATES candidates, counted in advance.
+Each shape is walked once, in integers: its fractional parts p/q give the
+branches (q, q - p) of the Seifert form, the isotropy lcm q and the klt
+room isotropy * (2 - sum (1 - 1/q)); a shape with room <= 0 is not klt and
+is skipped.  The central log discrepancy is 1/r = room / (isotropy deg D)
+and the mld is at most 1/r, so with T = N deg D the candidates of a klt
+shape are exactly the m with 0 < T <= room N / (epsilon0 isotropy): the
+lower end is ampleness, the upper end is 1/r >= epsilon0.  Every candidate
+walked is one graph solve; divisor and cone objects are built only for the
+entries kept.  The walk is refused with a DomainError above MAX_CANDIDATES
+solves, counted before the first.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import cones, resolution
 from .cones import ConeTriple
@@ -30,8 +32,8 @@ from .divisors import MARKED_POINTS, QDivisorP1, SeifertData
 from .errors import DomainError
 from .rationals import format_rational
 
-# Most candidates enumerate_catalog walks for one (epsilon0, N); above it
-# the request is refused before the walk.  (1/1000, 6) walks 112000.
+# Most graph solves enumerate_catalog makes for one (epsilon0, N); above it
+# the request is refused before the first.  (1/1000, 6) solves 19501.
 MAX_CANDIDATES = 200_000
 
 
@@ -48,76 +50,50 @@ class CatalogEntry:
     canonical_index: int
 
 
-def a_inf_range(epsilon0: Fraction, n_isotropy: int, a0: int, a1: int) -> range:
-    """Integer window for the coefficient numerator at infinity."""
-    upper = Fraction(2 * n_isotropy) / epsilon0 - (a0 + a1)
-    return range(-(a0 + a1) + 1, math.floor(upper) + 1)
+def integer_parts(
+    epsilon0: Fraction, n_isotropy: int, total: int, room: int, isotropy: int
+) -> range:
+    """The integer parts m at infinity of a klt shape whose residues sum to
+    total: 0 < T = total + N m <= room N / (epsilon0 isotropy)."""
+    top = room * n_isotropy * epsilon0.denominator // (epsilon0.numerator * isotropy)
+    return range(-total // n_isotropy + 1, (top - total) // n_isotropy + 1)
 
 
-def candidate_count(epsilon0: Fraction, n_isotropy: int) -> int:
-    """Number of canonical forms enumerate_catalog walks: over a1 <= a0 < N,
-    the a_inf of the window with a_inf mod N <= a1.
+def _klt_shapes(epsilon0: Fraction, n_isotropy: int):
+    """Each descending residue shape (r0, r1, r2) whose quotient pair is
+    klt, with its branches, its isotropy and its integer parts."""
+    for r0 in range(n_isotropy):
+        for r1 in range(r0 + 1):
+            for r2 in range(r1 + 1):
+                branches = []
+                for residue in (r0, r1, r2):
+                    if residue:
+                        common = math.gcd(residue, n_isotropy)
+                        q = n_isotropy // common
+                        branches.append((q, q - residue // common))
+                isotropy = math.lcm(*(q for q, _ in branches))
+                # room = isotropy * (2 - deg delta) with deg delta = sum (1 - 1/q)
+                room = (2 - len(branches)) * isotropy + sum(isotropy // q for q, _ in branches)
+                if room > 0:
+                    parts = integer_parts(epsilon0, n_isotropy, r0 + r1 + r2, room, isotropy)
+                    yield (r0, r1, r2), tuple(branches), isotropy, parts
 
-    Up to a constant, the integers x < t with x mod N <= a1 number
-    floor(t/N) (a1 + 1) + min(t mod N, a1 + 1), so a window [start, stop)
-    holds the difference of that closed form at its two ends.  O(N^2).
-    """
 
-    def below(t: int, a1: int) -> int:
-        periods, rest = divmod(t, n_isotropy)
-        return periods * (a1 + 1) + min(rest, a1 + 1)
-
-    total = 0
-    for a0 in range(n_isotropy):
-        for a1 in range(a0 + 1):
-            window = a_inf_range(epsilon0, n_isotropy, a0, a1)
-            total += below(window.stop, a1) - below(window.start, a1)
-    return total
-
-
-def _classify(
-    epsilon0: Fraction, n_isotropy: int, a0: int, a1: int, a_inf: int
-) -> CatalogEntry | None:
-    """The entry of the candidate (a0 {0} + a1 {1} + a_inf {inf}) / N, a
-    cone since a0 + a1 + a_inf > 0, or None when it is not klt, its
-    isotropy exceeds N or its mld is below epsilon0."""
-    branches = []
-    for a in (a0, a1, a_inf):
-        residue = a % n_isotropy
-        if residue:
-            common = math.gcd(residue, n_isotropy)
-            q = n_isotropy // common
-            branches.append((q, q - residue // common))
-    isotropy = math.lcm(*(q for q, _ in branches))
-    # room = isotropy * (2 - deg delta) with deg delta = sum (1 - 1/q)
-    room = (2 - len(branches)) * isotropy + sum(isotropy // q for q, _ in branches)
-    if room <= 0 or isotropy > n_isotropy:
-        return None  # the quotient pair is not klt, or the isotropy is too large
-    # 1/r = (2 - deg delta) / deg D is at least the mld: reject 1/r < epsilon0
-    degree_n = a0 + a1 + a_inf  # N deg D
-    if room * n_isotropy * epsilon0.denominator < epsilon0.numerator * isotropy * degree_n:
-        return None
-    seifert = SeifertData(sum(-(-a // n_isotropy) for a in (a0, a1, a_inf)), tuple(branches))
-    report = resolution.discrepancies(resolution.build_graph(seifert))
-    if report.mld < epsilon0:
-        return None
-    coeffs = (Fraction(a, n_isotropy) for a in (a0, a1, a_inf))
-    return CatalogEntry(
-        triple=ConeTriple(QDivisorP1(dict(zip(MARKED_POINTS, coeffs)))),
-        seifert=seifert,
-        mld=report.mld,
-        fano_angle=1 / report.log_discrepancies[0],
-        max_isotropy=isotropy,
-        canonical_index=report.canonical_index,
-    )
+def _refuse_above_cap(epsilon0: Fraction, n_isotropy: int, count: int, what: str) -> None:
+    if count > MAX_CANDIDATES:
+        raise DomainError(
+            f"(epsilon0, N) = ({format_rational(epsilon0)}, {n_isotropy}) needs "
+            f"{count} {what}, above the cap of {MAX_CANDIDATES}"
+        )
 
 
 def enumerate_catalog(epsilon0: Fraction, n_isotropy: int) -> tuple[CatalogEntry, ...]:
     """All cone surface singularities with mld >= epsilon0 and isotropies
     at most N, one entry per isomorphism class, sorted by (degree, mld).
 
-    Raises DomainError, before walking, when the walk would classify more
-    than MAX_CANDIDATES canonical forms.
+    Raises DomainError, before the first solve, when the walk would visit
+    more than MAX_CANDIDATES residue shapes or make more than MAX_CANDIDATES
+    graph solves.
     """
     epsilon0 = Fraction(epsilon0)
     if epsilon0 <= 0:
@@ -126,39 +102,33 @@ def enumerate_catalog(epsilon0: Fraction, n_isotropy: int) -> tuple[CatalogEntry
         raise ValueError("epsilon0 must be <= 2 (no log discrepancy exceeds 2)")
     if n_isotropy < 1:
         raise ValueError("isotropy bound must be >= 1")
-    # Each window is at least N wide (epsilon0 <= 2), so it holds every
-    # residue: the tetrahedral number is a lower bound that spares the exact
-    # O(N^2) count when N alone is too large.
-    count = n_isotropy * (n_isotropy + 1) * (n_isotropy + 2) // 6
-    if count <= MAX_CANDIDATES:
-        count = candidate_count(epsilon0, n_isotropy)
-    if count > MAX_CANDIDATES:
-        raise DomainError(
-            f"(epsilon0, N) = ({format_rational(epsilon0)}, {n_isotropy}) needs at "
-            f"least {count} candidates, above the cap of {MAX_CANDIDATES}"
-        )
+    shapes = n_isotropy * (n_isotropy + 1) * (n_isotropy + 2) // 6
+    _refuse_above_cap(epsilon0, n_isotropy, shapes, "residue shapes")
+    walk = list(_klt_shapes(epsilon0, n_isotropy))
+    _refuse_above_cap(epsilon0, n_isotropy, sum(len(parts) for *_, parts in walk), "graph solves")
 
-    found: list[CatalogEntry] = []
-    for a0 in range(n_isotropy):
-        for a1 in range(a0 + 1):
-            window = a_inf_range(epsilon0, n_isotropy, a0, a1)
-            # only descending fractional parts: a_inf mod N <= a1
-            for residue in range(a1 + 1):
-                first = window.start + (residue - window.start) % n_isotropy
-                for a_inf in range(first, window.stop, n_isotropy):
-                    entry = _classify(epsilon0, n_isotropy, a0, a1, a_inf)
-                    if entry is not None:
-                        found.append(entry)
-    return tuple(
-        sorted(
-            found,
-            key=lambda e: (
-                e.triple.polarization.degree(),
-                e.mld,
-                str(e.triple.polarization),
-            ),
-        )
-    )
+    found: list[tuple[tuple, CatalogEntry]] = []
+    for (r0, r1, r2), branches, isotropy, parts in walk:
+        for m in parts:
+            seifert = SeifertData(len(branches) + m, branches)
+            report = resolution.discrepancies(resolution.build_graph(seifert))
+            if report.mld < epsilon0:
+                continue
+            coeffs = (Fraction(r, n_isotropy) for r in (r0, r1, r2 + n_isotropy * m))
+            polarization = QDivisorP1(dict(zip(MARKED_POINTS, coeffs)))
+            entry = CatalogEntry(
+                triple=ConeTriple(polarization),
+                seifert=seifert,
+                mld=report.mld,
+                fano_angle=1 / report.log_discrepancies[0],
+                max_isotropy=isotropy,
+                canonical_index=report.canonical_index,
+            )
+            # T = N deg D orders by degree, N being fixed
+            key = (r0 + r1 + r2 + n_isotropy * m, report.mld, str(polarization))
+            found.append((key, entry))
+    found.sort(key=itemgetter(0))
+    return tuple(entry for _, entry in found)
 
 
 def is_member(triple: ConeTriple, epsilon0: Fraction, n_isotropy: int) -> bool:

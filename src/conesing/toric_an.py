@@ -11,13 +11,20 @@ exactly when x >= 1 and y > -n*x/(n+1), and its subcone determinants are
 a = x and b = n*x + (n+1)*y.  So the rays within a height bound H are
 walked column by column, x in 1..H and y from the first value above
 -n*x/(n+1) up to H, already in sorted order, at a cost linear in the
-rays listed plus H.
+rays listed plus H.  A walk that would visit more than MAX_LATTICE_POINTS
+points is refused with a DomainError before it starts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+from .errors import DomainError
+
+# Most lattice points enumerate_plt_blowups visits for one (n, H); above it
+# the request is refused before the walk.  n = 1, H = 800 visits 800400.
+MAX_LATTICE_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -68,12 +75,30 @@ def an_cone(n: int) -> LatticeCone2D:
     return LatticeCone2D((0, 1), (n + 1, -n))
 
 
+def lattice_points_visited(n: int, height_bound: int) -> int:
+    """Points (x, y) enumerate_plt_blowups visits: the sum over x in 1..H of
+    H + ceil(n x/(n+1)), where ceil(n x/(n+1)) = x - floor(x/(n+1))."""
+    h = height_bound
+    periods, rest = divmod(h, n + 1)
+    floors = (n + 1) * periods * (periods - 1) // 2 + periods * (rest + 1)
+    return h * h + h * (h + 1) // 2 - floors
+
+
 def enumerate_plt_blowups(n: int, height_bound: int) -> tuple[PltBlowupRecord, ...]:
     """All torus-invariant plt blow-ups from primitive rays strictly inside
-    the A_n cone with max(|x|, |y|) <= height_bound, sorted by ray."""
+    the A_n cone with max(|x|, |y|) <= height_bound, sorted by ray.
+
+    Raises DomainError, before walking, when the walk would visit more than
+    MAX_LATTICE_POINTS lattice points."""
     an_cone(n)  # rejects n < 1 before the bound is checked
     if height_bound < 1:
         raise ValueError("height_bound must be >= 1")
+    points = lattice_points_visited(n, height_bound)
+    if points > MAX_LATTICE_POINTS:
+        raise DomainError(
+            f"(n, bound) = ({n}, {height_bound}) visits {points} lattice points, "
+            f"above the cap of {MAX_LATTICE_POINTS}"
+        )
     records = []
     for x in range(1, height_bound + 1):
         nx = n * x

@@ -12,11 +12,11 @@ tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 from typing import Sequence
 
 from conesing import cones
-from conesing.catalog import CatalogEntry, a_inf_range
+from conesing.catalog import CatalogEntry
 from conesing.cones import ConeTriple
 from conesing.divisors import MARKED_POINTS, QDivisorP1, SeifertData
 from conesing.errors import NotContractible
@@ -143,13 +143,16 @@ def classify_by_objects(divisor: QDivisorP1) -> CatalogEntry | None:
 
 
 def catalog_by_objects(epsilon0: Fraction, n_isotropy: int) -> tuple[CatalogEntry, ...]:
-    """The catalog from every grid point of the a_inf windows: canonical
-    forms found by skipping the non-descending ones, each classified by
-    ``classify_by_objects`` and filtered on isotropy and mld."""
+    """The catalog from every grid point of the loose windows
+    -(a0 + a1) < a_inf <= 2N/epsilon0 - (a0 + a1), that is 0 < deg D <=
+    2/epsilon0: canonical forms found by skipping the non-descending ones,
+    each classified by ``classify_by_objects`` and filtered on isotropy and
+    mld."""
+    top = floor(Fraction(2 * n_isotropy) / epsilon0)
     found = []
     for a0 in range(n_isotropy):
         for a1 in range(a0 + 1):
-            for a_inf in a_inf_range(epsilon0, n_isotropy, a0, a1):
+            for a_inf in range(-(a0 + a1) + 1, top - (a0 + a1) + 1):
                 if a_inf % n_isotropy > a1:
                     continue
                 coeffs = (Fraction(num, n_isotropy) for num in (a0, a1, a_inf))

@@ -4,6 +4,7 @@ Each test prints a single ``criterion N: PASS/FAIL`` line (run with -s or
 -rA to see them) and then asserts.  All comparisons are exact equalities of
 rationals -- there are no tolerances anywhere.
 """
+import math
 import random
 import time
 from fractions import Fraction
@@ -162,9 +163,11 @@ def test_criterion_6_structural_invariants():
     failures = []
     # negative definiteness across the enumeration sweep
     for epsilon0, n_isotropy in CATALOG_PAIRS:
+        # the loose window 0 < deg D <= 2/epsilon0 over the (N+1)^2 grid
+        top = math.floor(Fraction(2 * n_isotropy) / epsilon0)
         for a0 in range(n_isotropy + 1):
             for a1 in range(n_isotropy + 1):
-                for a_inf in catalog.a_inf_range(epsilon0, n_isotropy, a0, a1):
+                for a_inf in range(-(a0 + a1) + 1, top - (a0 + a1) + 1):
                     divisor = QDivisorP1(
                         {
                             point: Fraction(num, n_isotropy)

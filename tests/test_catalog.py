@@ -5,13 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conesing import catalog, resolution
-from conesing.catalog import (
-    a_inf_range,
-    catalog_consistency_check,
-    enumerate_catalog,
-    is_member,
-)
+from conesing import catalog, cones, resolution
+from conesing.catalog import catalog_consistency_check, enumerate_catalog, is_member
 from conesing.cones import ConeTriple
 from conesing.divisors import INF, MARKED_POINTS, ONE, ZERO, QDivisorP1
 from conesing.errors import DomainError
@@ -53,16 +48,6 @@ def test_enumerate_rejects_bad_epsilon():
         enumerate_catalog(Fraction(5, 2), 1)
 
 
-def test_candidate_grid_size_matches_closed_form():
-    for epsilon0, n in [(Fraction(1), 1), (Fraction(1, 2), 2), (Fraction(2, 3), 3)]:
-        total = sum(
-            len(a_inf_range(epsilon0, n, a0, a1))
-            for a0 in range(n + 1)
-            for a1 in range(n + 1)
-        )
-        assert total == (n + 1) ** 2 * math.floor(Fraction(2 * n) / epsilon0)
-
-
 def test_is_member_examples():
     cubic = ConeTriple(QDivisorP1({INF: 3}))
     assert is_member(cubic, Fraction(2, 3), 1)
@@ -95,12 +80,15 @@ def test_consistency_check_flags_corrupted_entry():
 
 
 def _full_grid(epsilon0, n) -> list[QDivisorP1]:
-    """The (N+1)^2 grid of a0, a1 in [0, N], each with its a_inf window."""
+    """The (N+1)^2 grid of a0, a1 in [0, N], each with its loose a_inf
+    window -(a0 + a1) < a_inf <= 2N/epsilon0 - (a0 + a1), that is
+    0 < deg D <= 2/epsilon0."""
+    top = math.floor(Fraction(2 * n) / epsilon0)
     grid = [
         (a0, a1, a_inf)
         for a0 in range(n + 1)
         for a1 in range(n + 1)
-        for a_inf in a_inf_range(epsilon0, n, a0, a1)
+        for a_inf in range(-(a0 + a1) + 1, top - (a0 + a1) + 1)
     ]
     return [
         QDivisorP1(dict(zip(MARKED_POINTS, (Fraction(a, n) for a in nums))))
@@ -126,7 +114,8 @@ def test_dedup_soundness():
 
 
 def test_catalog_walks_each_canonical_form_once(monkeypatch):
-    true_classify = catalog._classify
+    true_shapes = catalog._klt_shapes
+    true_solver = resolution.discrepancies
     for epsilon0, n in [
         (Fraction(1), 1),
         (Fraction(2), 1),
@@ -136,44 +125,66 @@ def test_catalog_walks_each_canonical_form_once(monkeypatch):
         (Fraction(1, 3), 5),
     ]:
         seen: list[tuple[int, int, int]] = []
+        solves = []
 
-        def recording(epsilon0, n_isotropy, a0, a1, a_inf):
-            seen.append((a0, a1, a_inf))
-            return true_classify(epsilon0, n_isotropy, a0, a1, a_inf)
+        def recording(epsilon0, n_isotropy):
+            for shape in true_shapes(epsilon0, n_isotropy):
+                (r0, r1, r2), _, _, parts = shape
+                seen.extend((r0, r1, r2 + n_isotropy * m) for m in parts)
+                yield shape
 
-        monkeypatch.setattr(catalog, "_classify", recording)
+        def counting(graph):
+            solves.append(graph)
+            return true_solver(graph)
+
+        monkeypatch.setattr(catalog, "_klt_shapes", recording)
+        monkeypatch.setattr(resolution, "discrepancies", counting)
         entries = enumerate_catalog(epsilon0, n)
         monkeypatch.undo()
+        assert len(solves) == len(seen), (epsilon0, n)  # every form walked is solved
         divisors = [
             QDivisorP1(dict(zip(MARKED_POINTS, (Fraction(a, n) for a in nums))))
             for nums in seen
         ]
         assert len(set(divisors)) == len(divisors), (epsilon0, n)
         assert all(divisor.canonical_form() == divisor for divisor in divisors)
-        expected = {divisor.canonical_form() for divisor in _full_grid(epsilon0, n)}
+        # the klt canonical forms of the loose grid past the vertex bound
+        expected = {
+            form
+            for form in {divisor.canonical_form() for divisor in _full_grid(epsilon0, n)}
+            if cones.is_klt_cone(ConeTriple(form))
+            and cones.vertex_log_discrepancy(ConeTriple(form)) >= epsilon0
+        }
         assert set(divisors) == expected, (epsilon0, n)
         assert all(entry.max_isotropy <= n for entry in entries)
         if n >= 2:  # ties a0 == a1 are walked too
             assert any(d.coeff(ZERO) == d.coeff(ONE) != 0 for d in divisors)
 
 
-def test_candidate_count_matches_the_walk(monkeypatch):
-    walked = []
-    monkeypatch.setattr(catalog, "_classify", lambda *candidate: walked.append(candidate))
-    for n in range(1, 9):
-        for epsilon0 in (Fraction(2), Fraction(1), Fraction(2, 3), Fraction(1, n), Fraction(3, 7)):
-            walked.clear()
-            enumerate_catalog(epsilon0, n)
-            assert len(walked) == catalog.candidate_count(epsilon0, n), (epsilon0, n)
+def _solves_planned(epsilon0, n) -> int:
+    return sum(len(parts) for *_, parts in catalog._klt_shapes(epsilon0, n))
 
 
-def test_enumerate_refuses_walks_above_the_cap():
-    # (1/1000, 6) walks 2000 whole periods of the 56 residue pairs
-    assert catalog.candidate_count(Fraction(1, 1000), 6) == 112000 <= catalog.MAX_CANDIDATES
-    with pytest.raises(DomainError, match="1120000 candidates"):
-        enumerate_catalog(Fraction(1, 10000), 6)
-    with pytest.raises(DomainError):  # refused from the lower bound alone
+def test_enumerate_refuses_walks_above_the_cap(monkeypatch):
+    assert _solves_planned(Fraction(1, 1000), 6) == 19501
+    with pytest.raises(DomainError, match="1950001 graph solves"):
+        enumerate_catalog(Fraction(1, 100000), 6)
+    with pytest.raises(DomainError, match="200002 graph solves"):
+        enumerate_catalog(Fraction(1, 100001), 1)
+    with pytest.raises(DomainError, match="residue shapes"):  # from the shape count alone
         enumerate_catalog(Fraction(2), 10**6)
+
+    # exactly at the cap the request is admitted: it reaches its first solve
+    class FirstSolve(Exception):
+        pass
+
+    def stop(graph):
+        raise FirstSolve
+
+    assert _solves_planned(Fraction(1, 100000), 1) == catalog.MAX_CANDIDATES == 200000
+    monkeypatch.setattr(resolution, "discrepancies", stop)
+    with pytest.raises(FirstSolve):
+        enumerate_catalog(Fraction(1, 100000), 1)
 
 
 @pytest.mark.parametrize(
@@ -196,11 +207,14 @@ def test_catalog_solves_only_candidates_past_the_vertex_bound(monkeypatch, epsil
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_integer_classifier_matches_divisor_objects(n):
-    for k in range(1, n + 1):
-        epsilon0 = Fraction(1, k)
+    # floors of room N / (epsilon0 isotropy) with numerators other than 1
+    others = [Fraction(2), Fraction(3, 2), Fraction(2, 3), Fraction(3, 7), Fraction(5, 11)]
+    for epsilon0 in [Fraction(1, k) for k in range(1, n + 1)] + others:
         assert catalog.catalog_json_text(
             epsilon0, n, enumerate_catalog(epsilon0, n)
-        ) == catalog.catalog_json_text(epsilon0, n, catalog_by_objects(epsilon0, n)), k
+        ) == catalog.catalog_json_text(
+            epsilon0, n, catalog_by_objects(epsilon0, n)
+        ), epsilon0
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conesing import checks
+from conesing import checks, toric_an
 from conesing.cli import (
     _an_blowups,
     _an_blowups_json,
@@ -198,14 +198,14 @@ def test_enumerate_byte_stability(capsys):
 def test_enumerate_above_the_candidate_cap_is_a_domain_error(capsys, tmp_path):
     json_path = tmp_path / "catalog.json"
     code, out, err = run_cli(
-        capsys, "enumerate", "--epsilon0", "1/10000", "--isotropy", "6",
+        capsys, "enumerate", "--epsilon0", "1/100000", "--isotropy", "6",
         "--format", "json", "--json", str(json_path),
     )
     assert code == 1
     assert out == ""
     record = json.loads(err)
     assert record["error"] == "DOMAIN_ERROR"
-    assert "1120000 candidates" in record["message"]
+    assert "1950001 graph solves" in record["message"]
     assert not json_path.exists()
 
 
@@ -251,6 +251,18 @@ def test_an_blowups_rows(capsys):
     assert by_ray[(2, -1)]["a"] == 2
     assert by_ray[(2, -1)]["threshold"] == "1/2"
     assert by_ray[(1, 0)]["diff"] == ["0", "2/3"]
+
+
+def test_an_blowups_above_the_lattice_point_cap_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "an-blowups", "--n", "1", "--bound", "900")
+    assert code == 1
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "DOMAIN_ERROR"
+    assert "1012950 lattice points" in record["message"]
+    # the largest benchmark request (60, 240) and (1, 800) stay under the cap
+    assert toric_an.lattice_points_visited(60, 240) == 86163
+    assert toric_an.lattice_points_visited(1, 800) == 800400 <= toric_an.MAX_LATTICE_POINTS
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,13 +337,13 @@ def test_paper_check_negative_control_sign_flip(capsys, monkeypatch):
 def test_paper_check_negative_control_range_off_by_one(capsys, monkeypatch):
     import conesing.catalog as catalog_module
 
-    true_range = catalog_module.a_inf_range
+    true_parts = catalog_module.integer_parts
 
-    def shrunk(epsilon0, n_isotropy, a0, a1):
-        full = true_range(epsilon0, n_isotropy, a0, a1)
+    def shrunk(*shape):
+        full = true_parts(*shape)
         return range(full.start, full.stop - 1)
 
-    monkeypatch.setattr(catalog_module, "a_inf_range", shrunk)
+    monkeypatch.setattr(catalog_module, "integer_parts", shrunk)
     results = checks.check_catalogs()
     failed = [r for r in results if not r.ok]
     assert any("completeness" in r.check_id for r in failed) or any(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conesing.toric_an import (
     an_cone,
     enumerate_plt_blowups,
+    lattice_points_visited,
     minimal_resolution_rays,
     verify_example_bounds,
 )
@@ -107,8 +108,12 @@ def test_interior_walk_matches_box_scan(case):
     expected = an_blowups_box_scan(n, bound)
     records = enumerate_plt_blowups(n, bound)
     assert [(r.ray, r.a, r.b, r.diff, r.delta_threshold) for r in records] == expected
+    # column x visits y from floor(-n x/(n+1)) + 1 up to the bound
+    walked = sum(bound - (-(n * x) // (n + 1)) for x in range(1, bound + 1))
+    assert lattice_points_visited(n, bound) == walked
     if bound >= n:
         # the integer argmax key picks the record the Fraction key picks
         best = max(expected, key=lambda row: (row[4], row[0]))
         report = verify_example_bounds(n, bound)
         assert (report.argmax_ray, report.max_threshold) == (best[0], best[4])
+
