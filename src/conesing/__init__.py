@@ -14,7 +14,6 @@ from .catalog import (
 from .cones import (
     CentralFiber,
     ConeTriple,
-    LogFanoQuotient,
     central_fiber_of_plt_blowup,
     fano_angle,
     is_klt_cone,

@@ -37,7 +37,7 @@ from .rationals import format_rational
 MAX_CANDIDATES = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CatalogEntry:
     """One cone singularity of the catalog, keyed by the canonical form of
     its polarization."""

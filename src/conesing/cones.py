@@ -1,15 +1,16 @@
 """The cone-singularity model.
 
-A surface cone singularity is encoded by its associated triple: an ample
-Q-divisor on the projective line (the polarization) plus an optional
-boundary divisor.  This module computes the quotient pair, the Fano angle
-and its reciprocal (the log discrepancy of the vertex blow-up), isotropies,
-Veronese quotients, and the combinatorial central fiber of the degeneration
-induced by a plt blow-up.
+A surface cone singularity is encoded by its associated triple, which on
+the projective line is the polarization alone: an ample Q-divisor D.  Every
+invariant here comes from D: the quotient pair's boundary
+delta = sum (1 - 1/q) p over the fractional points of D, the Fano angle
+r = deg D / (2 - deg delta) and its reciprocal (the log discrepancy of the
+vertex blow-up), isotropies, Veronese quotients, and the combinatorial
+central fiber of the degeneration induced by a plt blow-up.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,58 +19,28 @@ from .errors import DomainError, NotACone, NotLogFano
 from .rationals import format_rational
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConeTriple:
-    """Associated triple of a cone singularity: (polarization; boundary).
-
-    The polarization must have positive degree; boundary coefficients live
-    in [0, 1).
-    """
+    """Associated triple of a cone singularity: its polarization, which
+    must have positive degree."""
 
     polarization: QDivisorP1
-    boundary: QDivisorP1 = field(default_factory=QDivisorP1)
 
     def __post_init__(self):
         if self.polarization.degree() <= 0:
             raise NotACone(
                 f"polarization degree {format_rational(self.polarization.degree())} <= 0"
             )
-        for point, coeff in self.boundary.items():
-            if not (0 <= coeff < 1):
-                raise ValueError(f"boundary coefficient {coeff} at {point} not in [0,1)")
 
 
-@dataclass(frozen=True)
-class LogFanoQuotient:
-    """The quotient pair (delta + boundary) of a klt cone singularity.
-
-    Construction enforces klt-ness on the curve (all coefficients < 1) and
-    positivity of the anti-log-canonical degree (degree of delta + boundary
-    below 2); violations raise NotLogFano.
-    """
-
-    delta: QDivisorP1
-    boundary: QDivisorP1
-
-    def __post_init__(self):
-        total = self.delta + self.boundary
-        for point, coeff in total.items():
-            if coeff >= 1:
-                raise NotLogFano(
-                    f"coefficient {format_rational(coeff)} >= 1 at {point}"
-                )
-        if total.degree() >= 2:
-            raise NotLogFano(
-                f"deg(delta + boundary) = {format_rational(total.degree())} >= 2"
-            )
-
-    def total_boundary(self) -> QDivisorP1:
-        return self.delta + self.boundary
-
-
-def log_fano_quotient(triple: ConeTriple) -> LogFanoQuotient:
-    """Quotient pair of the cone; raises NotLogFano when the cone is not klt."""
-    return LogFanoQuotient(triple.polarization.boundary_delta(), triple.boundary)
+def log_fano_quotient(triple: ConeTriple) -> QDivisorP1:
+    """Boundary delta of the quotient pair (P^1, delta); raises NotLogFano
+    when deg delta >= 2, that is when the cone is not klt.  Every
+    coefficient 1 - 1/q is below 1, so the pair is klt on the curve."""
+    delta = triple.polarization.boundary_delta()
+    if delta.degree() >= 2:
+        raise NotLogFano(f"deg delta = {format_rational(delta.degree())} >= 2")
+    return delta
 
 
 def is_klt_cone(triple: ConeTriple) -> bool:
@@ -82,12 +53,12 @@ def is_klt_cone(triple: ConeTriple) -> bool:
 
 
 def fano_angle(triple: ConeTriple) -> Fraction:
-    """The positive rational r with D ~ -r(K + delta + boundary).
+    """The positive rational r with D ~ -r(K + delta).
 
-    On the line deg K = -2, so r = deg D / (2 - deg(delta + boundary)).
+    On the line deg K = -2, so r = deg D / (2 - deg delta).
     """
-    quotient = log_fano_quotient(triple)
-    return triple.polarization.degree() / (2 - quotient.total_boundary().degree())
+    delta = log_fano_quotient(triple)
+    return triple.polarization.degree() / (2 - delta.degree())
 
 
 def vertex_log_discrepancy(triple: ConeTriple) -> Fraction:
@@ -111,7 +82,7 @@ def veronese(triple: ConeTriple, m: int) -> ConeTriple:
     """Degree-m equivariant cyclic quotient, realized on triples as D -> mD."""
     if m < 1:
         raise ValueError(f"veronese degree must be >= 1, got {m}")
-    return ConeTriple(m * triple.polarization, triple.boundary)
+    return ConeTriple(m * triple.polarization)
 
 
 @dataclass(frozen=True)

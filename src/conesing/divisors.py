@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import NotACone
 from .rationals import format_rational, parse_rational
@@ -63,10 +63,10 @@ class QDivisorP1:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[PointP1, Fraction | int | str] | None = None):
+    def __init__(self, terms: Mapping[PointP1, Fraction | int] | None = None):
         cleaned: dict[PointP1, Fraction] = {}
         for point, coeff in (terms or {}).items():
-            value = parse_rational(coeff) if isinstance(coeff, str) else Fraction(coeff)
+            value = Fraction(coeff)
             if value != 0:
                 cleaned[point] = value
         object.__setattr__(self, "_terms", cleaned)
@@ -105,12 +105,6 @@ class QDivisorP1:
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "QDivisorP1") -> "QDivisorP1":
-        terms = dict(self._terms)
-        for point, coeff in other._terms.items():
-            terms[point] = terms.get(point, Fraction(0)) + coeff
-        return QDivisorP1(terms)
 
     def __rmul__(self, scalar) -> "QDivisorP1":
         scalar = Fraction(scalar)
@@ -201,7 +195,7 @@ class QDivisorP1:
         return QDivisorP1(terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeifertData:
     """Normal form (b; (alpha_1, beta_1), ...) of a positive-degree divisor.
 

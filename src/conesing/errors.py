@@ -18,7 +18,7 @@ class NotACone(DomainError):
 
 
 class NotLogFano(DomainError):
-    """The quotient pair violates klt-ness or ampleness; the cone is not klt."""
+    """The quotient pair is not log Fano (deg delta >= 2); the cone is not klt."""
 
     kind = "NOT_LOG_FANO"
 

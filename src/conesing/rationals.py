@@ -59,6 +59,21 @@ def hj_expand(alpha: int, beta: int) -> list[int]:
     return expansion
 
 
+def hj_length(alpha: int, beta: int) -> int:
+    """len(hj_expand(alpha, beta)) in O(log alpha), without the expansion.
+
+    With alpha/beta = [t_1; t_2, ...] as an ordinary continued fraction,
+    each odd-position term gives one curve and each even-position term t
+    gives a run of t - 1 curves of self-intersection -2.
+    """
+    length, odd = 0, True
+    while beta:
+        t, (alpha, beta) = alpha // beta, (beta, alpha % beta)
+        length += 1 if odd else t - 1
+        odd = not odd
+    return length
+
+
 @dataclass(frozen=True)
 class RationalMatrix:
     """Dense matrix of exact rationals, row-major."""

@@ -18,10 +18,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisors import SeifertData
-from .errors import NotContractible
-from .rationals import hj_expand, lcm_of_denominators
+from .errors import DomainError, NotContractible
+from .rationals import hj_expand, hj_length, lcm_of_denominators
 # Unused here; benchmarks/selftest/test_benchmark.py looks it up on this module.
 from .rationals import solve_linear  # noqa: F401
+
+# Most nodes build_graph expands; a larger graph is refused before any chain
+# is built.  inf:1/100000 has 100000 nodes.  The run-length mld path of
+# ROADMAP item 3 would answer mld at any chain length without the node list;
+# until then mld shares this cap with resolve.
+MAX_GRAPH_NODES = 200_000
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,16 @@ class DiscrepancyReport:
 
 def build_graph(seifert: SeifertData) -> DualGraph:
     """Star-shaped graph of Seifert data: central curve -b, one
-    Hirzebruch-Jung chain per branch."""
+    Hirzebruch-Jung chain per branch.
+
+    Raises DomainError when the graph would have more than MAX_GRAPH_NODES
+    nodes, counted from the integers before any chain is expanded.
+    """
+    nodes = 1 + sum(hj_length(alpha, beta) for alpha, beta in seifert.branches)
+    if nodes > MAX_GRAPH_NODES:
+        raise DomainError(
+            f"resolution graph has {nodes} nodes, above the cap of {MAX_GRAPH_NODES}"
+        )
     return DualGraph(
         seifert.b,
         tuple(tuple(hj_expand(alpha, beta)) for alpha, beta in seifert.branches),

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -265,6 +266,19 @@ def test_an_blowups_above_the_lattice_point_cap_is_a_domain_error(capsys):
     assert toric_an.lattice_points_visited(1, 800) == 800400 <= toric_an.MAX_LATTICE_POINTS
 
 
+@pytest.mark.parametrize("command", [["mld"], ["resolve", "--format", "json"]])
+def test_graphs_above_the_node_cap_are_a_domain_error(capsys, command):
+    # one chain of 10^12 - 1 curves of self-intersection -2
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command[0], "--divisor", "inf:1/1000000000000", *command[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "DOMAIN_ERROR"
+    assert "1000000000000 nodes" in record["message"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=30),
@@ -489,6 +503,14 @@ def test_cli_output_bytes_are_pinned(capsys, tmp_path):
         for path in sorted(tmp_path.rglob("*")) if path.is_file()
     }
     assert written == PINNED_FILES
+
+
+@pytest.mark.parametrize("command", [["fano-angle"], ["isotropy"], ["veronese", "--m", "2"]])
+def test_cone_commands_refuse_a_cone_that_is_not_klt(capsys, command):
+    # deg delta = 5 * 6/7 >= 2
+    code, out, err = run_cli(capsys, command[0], "--divisor", NOT_LC, *command[1:])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "NOT_LOG_FANO"
 
 
 def test_paper_check_failure_exits_1(capsys, monkeypatch):

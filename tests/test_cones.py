@@ -32,29 +32,17 @@ def cone(text: str) -> ConeTriple:
 def test_cone_triple_validation():
     with pytest.raises(NotACone):
         ConeTriple(QDivisorP1({pt(0): -1}))
-    with pytest.raises(ValueError):
-        ConeTriple(QDivisorP1({pt(0): 1}), QDivisorP1({pt(1): 1}))
 
 
 def test_log_fano_quotient_examples():
-    trivial = log_fano_quotient(cone("0:2"))
-    assert trivial.delta.is_zero() and trivial.boundary.is_zero()
+    assert log_fano_quotient(cone("0:2")).is_zero()
+    assert log_fano_quotient(cone("0:1/2,inf:1/2")) == QDivisorP1.parse("0:1/2,inf:1/2")
+    assert log_fano_quotient(E8_TRIPLE) == QDivisorP1.parse("0:1/2,1:2/3,inf:4/5")
 
-    half_half = log_fano_quotient(cone("0:1/2,inf:1/2"))
-    assert half_half.delta == QDivisorP1.parse("0:1/2,inf:1/2")
-
+    not_klt = cone("0:1/2,1:1/2,2:1/2,inf:1/2")
     with pytest.raises(NotLogFano):
-        log_fano_quotient(cone("0:1/2,1:1/2,2:1/2,inf:1/2"))
-
-
-def test_log_fano_quotient_rejects_coefficient_one():
-    triple = ConeTriple(
-        QDivisorP1({pt(0): Fraction(1, 2)}),
-        QDivisorP1({pt(0): Fraction(1, 2)}),
-    )
-    with pytest.raises(NotLogFano):
-        log_fano_quotient(triple)
-    assert not is_klt_cone(triple)
+        log_fano_quotient(not_klt)
+    assert not is_klt_cone(not_klt)
 
 
 def test_fano_angle_examples():
@@ -154,20 +142,4 @@ def test_veronese_isotropy_law_randomized():
         cartier = triple.polarization.cartier_index()
         assert max_isotropy(veronese(triple, cartier)) == 1
         assert max_isotropy(triple) == cartier
-        checked += 1
-
-
-def test_angle_monotone_in_boundary():
-    rng = random.Random(47)
-    checked = 0
-    while checked < 100:
-        bare = _random_triple(rng)
-        if bare is None or not is_klt_cone(bare):
-            continue
-        boundary_point = rng.choice([pt(0), pt(1), INF])
-        boundary = QDivisorP1({boundary_point: Fraction(1, rng.randint(2, 9))})
-        with_boundary = ConeTriple(bare.polarization, boundary)
-        if not is_klt_cone(with_boundary):
-            continue
-        assert fano_angle(with_boundary) >= fano_angle(bare)
         checked += 1

@@ -3,12 +3,15 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conesing.errors import SingularMatrixError
 from conesing.rationals import (
     RationalMatrix,
     format_rational,
     hj_expand,
+    hj_length,
     is_negative_definite,
     parse_rational,
     solve_linear,
@@ -57,6 +60,19 @@ def test_hj_round_trip_all_coprime_pairs_up_to_200():
             chain = hj_expand(alpha, beta)
             assert all(c >= 2 for c in chain)
             assert continued_fraction_value(chain) == Fraction(alpha, beta)
+
+
+@st.composite
+def coprime_pairs(draw) -> tuple[int, int]:
+    alpha = draw(st.integers(2, 5000))
+    beta = draw(st.integers(1, alpha - 1).filter(lambda b: gcd(alpha, b) == 1))
+    return alpha, beta
+
+
+@settings(max_examples=500, deadline=None)
+@given(coprime_pairs())
+def test_hj_length_counts_the_expansion(pair):
+    assert hj_length(*pair) == len(hj_expand(*pair))
 
 
 def test_solve_linear_examples():

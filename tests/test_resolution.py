@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conesing.cones import ConeTriple, is_klt_cone, vertex_log_discrepancy
+from conesing.cones import ConeTriple, fano_angle, is_klt_cone, vertex_log_discrepancy
 from conesing.divisors import INF, PointP1, QDivisorP1, SeifertData
-from conesing.errors import NotContractible
+from conesing.errors import DomainError, NotContractible, NotLogFano
 from conesing.rationals import RationalMatrix, is_negative_definite, solve_linear
 from conesing.resolution import (
+    MAX_GRAPH_NODES,
     DualGraph,
     build_graph,
     discrepancies,
@@ -109,7 +110,7 @@ def test_canonical_index_of_odd_cone():
 
 def test_central_node_identity_across_triples():
     rng = random.Random(59)
-    checked = 0
+    checked = not_klt = 0
     while checked < 120:
         points = rng.sample([pt(0), pt(1), pt(3), INF], rng.randint(1, 3))
         divisor = QDivisorP1(
@@ -118,12 +119,18 @@ def test_central_node_identity_across_triples():
         if divisor.degree() <= 0:
             continue
         triple = ConeTriple(divisor)
-        if not is_klt_cone(triple):
-            continue
         graph = build_graph(divisor.normalize_seifert())
         central = discrepancies(graph).log_discrepancies[graph.central_index]
-        assert central == vertex_log_discrepancy(triple)
-        checked += 1
+        # the cone is klt exactly when the vertex blow-up has a_0 > 0
+        assert is_klt_cone(triple) == (central > 0)
+        if central > 0:
+            assert central == vertex_log_discrepancy(triple)
+            checked += 1
+        else:
+            with pytest.raises(NotLogFano):
+                fano_angle(triple)
+            not_klt += 1
+    assert not_klt > 0
 
 
 def test_blowup_oracle_examples():
@@ -275,3 +282,11 @@ def test_large_graphs_solve_in_linear_time(data, size):
     report = discrepancies(graph)
     assert time.perf_counter() - start < 1.0
     assert report.log_discrepancies[graph.central_index] == _central_by_formula(data)
+
+
+def test_build_graph_refuses_graphs_above_the_node_cap():
+    at_cap = SeifertData(1, ((MAX_GRAPH_NODES, MAX_GRAPH_NODES - 1),))
+    assert len(build_graph(at_cap).nodes) == MAX_GRAPH_NODES
+    over = SeifertData(1, ((MAX_GRAPH_NODES + 1, MAX_GRAPH_NODES),))
+    with pytest.raises(DomainError, match=f"{MAX_GRAPH_NODES + 1} nodes"):
+        build_graph(over)
