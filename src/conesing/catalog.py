@@ -14,13 +14,13 @@ is skipped.  The central log discrepancy is 1/r = room / (isotropy deg D)
 and the mld is at most 1/r, so with T = N deg D the candidates of a klt
 shape are exactly the m with 0 < T <= room N / (epsilon0 isotropy): the
 lower end is ampleness, the upper end is 1/r >= epsilon0.  Every candidate
-walked is one graph solve; divisor and cone objects are built only for the
-entries kept.  The walk is refused with a DomainError above MAX_CANDIDATES
+walked is one integer solve of the shape's graph, whose chains are expanded
+once per shape; divisor and cone objects are built only for the entries
+kept.  The walk is refused with a DomainError above MAX_CANDIDATES
 solves, counted before the first.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,9 +28,9 @@ from operator import itemgetter
 
 from . import cones, resolution
 from .cones import ConeTriple
-from .divisors import MARKED_POINTS, QDivisorP1, SeifertData
+from .divisors import INF, ONE, ZERO, QDivisorP1, SeifertData
 from .errors import DomainError
-from .rationals import format_rational
+from .rationals import format_rational, hj_expand
 
 # Most graph solves enumerate_catalog makes for one (epsilon0, N); above it
 # the request is refused before the first.  (1/1000, 6) solves 19501.
@@ -109,24 +109,27 @@ def enumerate_catalog(epsilon0: Fraction, n_isotropy: int) -> tuple[CatalogEntry
 
     found: list[tuple[tuple, CatalogEntry]] = []
     for (r0, r1, r2), branches, isotropy, parts in walk:
+        chains = tuple(tuple(hj_expand(q, beta)) for q, beta in branches)
+        fixed = {point: Fraction(r, n_isotropy) for point, r in ((ZERO, r0), (ONE, r1)) if r}
+        terms = [f"{point}:{format_rational(c)}" for point, c in fixed.items()]
         for m in parts:
-            seifert = SeifertData(len(branches) + m, branches)
-            report = resolution.discrepancies(resolution.build_graph(seifert))
+            report = resolution.discrepancies(resolution.DualGraph(len(branches) + m, chains))
             if report.mld < epsilon0:
                 continue
-            coeffs = (Fraction(r, n_isotropy) for r in (r0, r1, r2 + n_isotropy * m))
-            polarization = QDivisorP1(dict(zip(MARKED_POINTS, coeffs)))
+            top = Fraction(r2 + n_isotropy * m, n_isotropy)
+            polarization = QDivisorP1({**fixed, INF: top})
             entry = CatalogEntry(
                 triple=ConeTriple(polarization),
-                seifert=seifert,
+                seifert=SeifertData(len(branches) + m, branches),
                 mld=report.mld,
                 fano_angle=1 / report.log_discrepancies[0],
                 max_isotropy=isotropy,
                 canonical_index=report.canonical_index,
             )
-            # T = N deg D orders by degree, N being fixed
-            key = (r0 + r1 + r2 + n_isotropy * m, report.mld, str(polarization))
-            found.append((key, entry))
+            # T = N deg D orders by degree, N being fixed; then mld, then
+            # str(polarization) written from the residues
+            text = ",".join(terms + [f"inf:{format_rational(top)}"] if top else terms)
+            found.append(((r0 + r1 + r2 + n_isotropy * m, report.mld, text), entry))
     found.sort(key=itemgetter(0))
     return tuple(entry for _, entry in found)
 
@@ -231,7 +234,54 @@ def catalog_to_json(epsilon0: Fraction, n_isotropy: int, entries) -> dict:
     }
 
 
+# One entry, and one branch of it, of json.dumps(document, indent=2,
+# sort_keys=True), whose pure-Python indenting encoder would cost more than
+# building the document.
+_ENTRY_JSON = """\
+    {
+      "canonical_index": %d,
+      "divisor": "%s",
+      "fano_angle": "%s",
+      "max_isotropy": %d,
+      "mld": "%s",
+      "seifert": {
+        "b": %d,
+        "branches": %s
+      }
+    }"""
+_BRANCH_JSON = """\
+          [
+            %d,
+            %d
+          ]"""
+
+
+def document_json_text(document: dict) -> str:
+    """json.dumps(document, indent=2, sort_keys=True) + "\n" for a
+    catalog_to_json document, written from the fixed layout of an entry.
+    Every string in it is a rational or divisor text, which JSON does not
+    escape."""
+    rows = []
+    for entry in document["entries"]:
+        seifert = entry["seifert"]
+        branches = ",\n".join(_BRANCH_JSON % tuple(branch) for branch in seifert["branches"])
+        rows.append(_ENTRY_JSON % (
+            entry["canonical_index"],
+            entry["divisor"],
+            entry["fano_angle"],
+            entry["max_isotropy"],
+            entry["mld"],
+            seifert["b"],
+            f"[\n{branches}\n        ]" if branches else "[]",
+        ))
+    entries = ",\n".join(rows)
+    entries = f"[\n{entries}\n  ]" if entries else "[]"
+    return (
+        f'{{\n  "N": {document["N"]},\n  "entries": {entries},\n'
+        f'  "epsilon0": "{document["epsilon0"]}"\n}}\n'
+    )
+
+
 def catalog_json_text(epsilon0: Fraction, n_isotropy: int, entries) -> str:
     """Byte-stable rendering: sorted keys, fixed separators, trailing newline."""
-    document = catalog_to_json(epsilon0, n_isotropy, entries)
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return document_json_text(catalog_to_json(epsilon0, n_isotropy, entries))

@@ -153,7 +153,7 @@ def _enumerate(args: argparse.Namespace) -> dict:
     entries = catalog.enumerate_catalog(args.epsilon0, args.isotropy)
     document = catalog.catalog_to_json(args.epsilon0, args.isotropy, entries)
     if args.json_path is not None:
-        args.json_path.write_text(_json_text(document))
+        args.json_path.write_text(catalog.document_json_text(document))
     if args.dot_dir is not None:
         args.dot_dir.mkdir(parents=True, exist_ok=True)
         for index, entry in enumerate(entries):
@@ -281,6 +281,42 @@ def _an_blowups_json(rows: list) -> str:
     return f"[\n{body}\n]\n"
 
 
+# One node and one edge of _json_text(document) for a resolve document.
+_NODE_JSON = """\
+    {
+      "is_central": %s,
+      "self_intersection": %d
+    }"""
+_EDGE_JSON = """\
+    [
+      %d,
+      %d
+    ]"""
+
+
+def _resolve_json(document: dict) -> str:
+    """_json_text(document), written from the fixed layout of its rows: the
+    indenting encoder would hold one string per token of a graph of up to
+    MAX_GRAPH_NODES nodes.  Each list is joined before the next is laid out."""
+    edges = _json_rows(_EDGE_JSON % tuple(edge) for edge in document["edges"])
+    values = _json_rows(f'    "{a}"' for a in document["log_discrepancies"])
+    nodes = _json_rows(
+        _NODE_JSON % ("true" if node["is_central"] else "false", node["self_intersection"])
+        for node in document["nodes"]
+    )
+    return (
+        f'{{\n  "canonical_index": {document["canonical_index"]},\n'
+        f'  "edges": {edges},\n  "log_discrepancies": {values},\n'
+        f'  "mld": "{document["mld"]}",\n  "nodes": {nodes}\n}}\n'
+    )
+
+
+def _json_rows(rows) -> str:
+    """A list at indent 2 of non-empty rows already laid out at indent 4."""
+    body = ",\n".join(rows)
+    return f"[\n{body}\n  ]" if body else "[]"
+
+
 def _paper_check_text(document: dict) -> str:
     results = document["checks"]
     passed = sum(c["ok"] for c in results)
@@ -296,12 +332,12 @@ def _paper_check_text(document: dict) -> str:
 # document itself through _json_text.
 _COMMANDS = {
     "mld": (_mld, {"text": lambda document: _text([document["mld"]])}),
-    "resolve": (_resolve, {"text": _resolve_text, "dot": _dot_text}),
+    "resolve": (_resolve, {"text": _resolve_text, "json": _resolve_json, "dot": _dot_text}),
     "fano-angle": (_cone, {"text": _record_text}),
     "isotropy": (_cone, {"text": _record_text}),
     "veronese": (_veronese, {"text": _record_text}),
     "degenerate": (_degenerate, {"text": _record_text}),
-    "enumerate": (_enumerate, {"text": _enumerate_text}),
+    "enumerate": (_enumerate, {"text": _enumerate_text, "json": catalog.document_json_text}),
     "an-blowups": (_an_blowups, {"text": _an_blowups_text, "json": _an_blowups_json}),
     "tjurina": (_tjurina, {"text": lambda document: _text([str(document["tjurina"])])}),
     "paper-check": (_paper_check, {"text": _paper_check_text}),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import SingularMatrixError
@@ -32,7 +32,6 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as "p/q", or just "p" when the denominator is 1."""
-    value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -191,10 +190,3 @@ def is_negative_definite(matrix: RationalMatrix) -> bool:
             for c in range(k, n):
                 a[r][c] -= factor * a[k][c]
     return True
-
-
-def lcm_of_denominators(values: Iterable[Fraction]) -> int:
-    result = 1
-    for v in values:
-        result = lcm(result, v.denominator)
-    return result

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .divisors import SeifertData
 from .errors import DomainError, NotContractible
-from .rationals import hj_expand, hj_length, lcm_of_denominators
+from .rationals import hj_expand, hj_length
 # Unused here; benchmarks/selftest/test_benchmark.py looks it up on this module.
 from .rationals import solve_linear  # noqa: F401
 
@@ -110,6 +111,10 @@ def discrepancies(graph: DualGraph) -> DiscrepancyReport:
     a_1 = (beta a_0 + 1) / alpha, and the adjunction equation of curve k is
     the recurrence a_{k+1} = c_k a_k - a_{k-1}.  Past the far end the value
     must be a_{L+1} = 1; that end value is checked exactly.
+
+    Everything is integer arithmetic: deg and the numerator of a_0 are taken
+    over A = lcm alpha, each chain runs over alpha den(a_0), and the minimum
+    is tracked by cross-multiplying.  One Fraction is built per node.
     """
     branches = []
     for chain in graph.chains:
@@ -117,24 +122,34 @@ def discrepancies(graph: DualGraph) -> DiscrepancyReport:
         for c in reversed(chain):
             alpha, beta = c * alpha - beta, alpha
         branches.append((alpha, beta))
-    degree = graph.b - sum((Fraction(beta, alpha) for alpha, beta in branches), Fraction(0))
+    common = lcm(*(alpha for alpha, _ in branches))
+    degree = graph.b * common - sum(beta * (common // alpha) for alpha, beta in branches)
     if degree <= 0:
         raise NotContractible("intersection matrix is not negative definite")
-    central = (2 - sum(1 - Fraction(1, alpha) for alpha, _ in branches)) / degree
+    room = (2 - len(branches)) * common + sum(common // alpha for alpha, _ in branches)
+    central = Fraction(room, degree)
+    numerator, base = central.numerator, central.denominator
     log_discrepancies = [central]
+    # the running minimum low_num / low_den, low_den > 0, and its node
+    low_num, low_den, low = numerator, base, 0
+    denominators = {base}
     for chain, (alpha, beta) in zip(graph.chains, branches):
         # numerators over the common denominator of a_0 and a_1
-        denominator = alpha * central.denominator
-        previous = alpha * central.numerator
-        current = beta * central.numerator + central.denominator
+        denominator = alpha * base
+        previous = alpha * numerator
+        current = beta * numerator + base
         for c in chain:
-            log_discrepancies.append(Fraction(current, denominator))
+            value = Fraction(current, denominator)
+            if current * low_den < low_num * denominator:
+                low_num, low_den, low = current, denominator, len(log_discrepancies)
+            denominators.add(value.denominator)
+            log_discrepancies.append(value)
             previous, current = current, c * current - previous
         if current != denominator:
             raise RuntimeError("exact solve verification failed")
     return DiscrepancyReport(
         log_discrepancies=tuple(log_discrepancies),
-        mld=min(log_discrepancies),
-        is_klt=all(a > 0 for a in log_discrepancies),
-        canonical_index=lcm_of_denominators(log_discrepancies),
+        mld=log_discrepancies[low],
+        is_klt=low_num > 0,
+        canonical_index=lcm(*denominators),
     )

@@ -12,16 +12,24 @@ tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd
-from typing import Sequence
+from math import floor, gcd, lcm
+from typing import Iterable, Sequence
 
 from conesing import cones
 from conesing.catalog import CatalogEntry
 from conesing.cones import ConeTriple
 from conesing.divisors import MARKED_POINTS, QDivisorP1, SeifertData
 from conesing.errors import NotContractible
-from conesing.rationals import RationalMatrix, hj_expand, lcm_of_denominators
+from conesing.rationals import RationalMatrix, hj_expand
 from conesing.resolution import DiscrepancyReport, DualGraph, build_graph, discrepancies
+
+
+def lcm_of_denominators(values: Iterable[Fraction]) -> int:
+    """The canonical index of a list of log discrepancies, fold by fold."""
+    result = 1
+    for v in values:
+        result = lcm(result, v.denominator)
+    return result
 
 
 def continued_fraction_value(coeffs: Sequence[int]) -> Fraction:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -215,6 +216,18 @@ def test_integer_classifier_matches_divisor_objects(n):
         ) == catalog.catalog_json_text(
             epsilon0, n, catalog_by_objects(epsilon0, n)
         ), epsilon0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_catalog_json_text_is_the_json_document(n):
+    # the template against the indenting encoder: the zero-branch entry
+    # inf:1, negative coefficients at infinity, and an empty catalog
+    others = [Fraction(2), Fraction(3, 2), Fraction(2, 3), Fraction(3, 7), Fraction(5, 11)]
+    for epsilon0 in [Fraction(1, k) for k in range(1, n + 1)] + others:
+        for entries in (enumerate_catalog(epsilon0, n), ()):
+            document = catalog.catalog_to_json(epsilon0, n, entries)
+            expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
+            assert catalog.catalog_json_text(epsilon0, n, entries) == expected, epsilon0
 
 
 @pytest.mark.parametrize(

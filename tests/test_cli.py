@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conesing import checks, toric_an
@@ -19,8 +20,11 @@ from conesing.cli import (
     _json_text,
     _one_minus_reciprocal,
     _reciprocal,
+    _resolve_document,
+    _resolve_json,
     main,
 )
+from conesing.divisors import SeifertData
 from conesing.rationals import format_rational
 
 
@@ -186,6 +190,18 @@ def test_enumerate_json_catalog(capsys, tmp_path):
     assert sorted(p.name for p in dot_dir.iterdir()) == ["entry_000.dot", "entry_001.dot"]
 
 
+def test_enumerate_json_file_is_the_json_view(capsys, tmp_path):
+    # branches, ties and negative coefficients at infinity
+    json_path = tmp_path / "catalog.json"
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--epsilon0", "1/3", "--isotropy", "4",
+        "--format", "json", "--json", str(json_path),
+    )
+    assert code == 0
+    assert json_path.read_text() == out == _json_text(json.loads(out))
+    assert '"divisor": "0:1/2,1:1/2,inf:-3/4"' in out
+
+
 def test_enumerate_byte_stability(capsys):
     _, first, _ = run_cli(
         capsys, "enumerate", "--epsilon0", "1/2", "--isotropy", "2", "--format", "json"
@@ -292,6 +308,25 @@ def test_an_blowups_json_view_is_the_json_document(n, bound):
         assert _one_minus_reciprocal(a) == format_rational(1 - Fraction(1, a))
         assert _one_minus_reciprocal(b) == format_rational(1 - Fraction(1, b))
         assert _reciprocal(max(a, b)) == format_rational(min(Fraction(1, a), Fraction(1, b)))
+
+
+@st.composite
+def seifert_forms(draw):
+    branches = []
+    for _ in range(draw(st.integers(0, 4))):
+        alpha = draw(st.integers(2, 30))
+        beta = draw(st.sampled_from([b for b in range(1, alpha) if math.gcd(alpha, b) == 1]))
+        branches.append((alpha, beta))
+    return SeifertData(draw(st.integers(1, 4)), tuple(branches))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seifert_forms())
+@example(SeifertData(1))  # a single node: "edges": []
+def test_resolve_json_view_is_the_json_document(seifert):
+    assume(seifert.degree() > 0)
+    document = _resolve_document(seifert)
+    assert _resolve_json(document) == _json_text(document)
 
 
 @pytest.mark.parametrize("module", ["conesing", "conesing.cli"])
