@@ -236,7 +236,9 @@ def _lcm(a: Exponents, b: Exponents) -> Exponents:
 
 
 def normal_form(poly: Poly, basis: Sequence[Poly]) -> Poly:
-    """Remainder of multivariate division by the basis."""
+    """Remainder of multivariate division by the basis.  Each step divides
+    by the divisor with the smallest leading monomial (Cox-Little-O'Shea,
+    *Ideals, Varieties, and Algorithms*, p. 111)."""
     remainder: dict[Exponents, Fraction] = {}
     work = dict(poly.terms)
     # min-heap on the negated degrevlex key; a reduction step only adds
@@ -244,7 +246,10 @@ def normal_form(poly: Poly, basis: Sequence[Poly]) -> Poly:
     # an entry whose monomial has left `work` (cancelled) is just skipped
     heap = [(-sum(e), e[::-1], e) for e in work]
     heapq.heapify(heap)
-    leads = [(g, *g.leading()) for g in basis if not g.is_zero()]
+    leads = sorted(
+        ((g, *g.leading()) for g in basis if not g.is_zero()),
+        key=lambda lead: degrevlex_key(lead[1]),
+    )
     while heap:
         exponents = heapq.heappop(heap)[2]
         coeff = work.pop(exponents, None)
@@ -343,7 +348,16 @@ def buchberger(gens: Sequence[Poly]) -> GroebnerBasis:
     """Buchberger's algorithm with normal-strategy pair selection (smallest
     lcm in degrevlex first, ties by index) and the Gebauer-Moeller pair
     criteria (see `_gebauer_moller`), followed by full interreduction.
-    S-polynomials are reduced by the active generators only.
+    The input generators join by increasing leading monomial, as in
+    Becker-Weispfenning, *Groebner Bases*, p. 232; S-polynomials are
+    reduced by the active generators only.
+
+    The order is not cosmetic: pairs of equal lcm are kept and taken by
+    index, so it steers the path through the intermediate bases.  In
+    the order given, some ideals (f, grad f, x_i^c_i) build intermediate
+    coefficients of thousands of bits on the way to a reduced basis with
+    single-digit ones, and take minutes; by increasing leading monomial the
+    same ideals take milliseconds.
 
     Membership of every input generator is re-verified by a zero normal
     form before returning.
@@ -367,7 +381,7 @@ def buchberger(gens: Sequence[Poly]) -> GroebnerBasis:
         leads.append(lead)
         active, pairs = _gebauer_moller(leads, active, pairs, len(basis) - 1)
 
-    for g in gens:
+    for g in sorted(gens, key=lambda g: degrevlex_key(g.leading()[0])):
         add(g)
 
     while pairs:

@@ -233,11 +233,15 @@ def zero_dimensional_ideals(draw):
 @given(zero_dimensional_ideals())
 @example((SLOW_SHAPES[0][0], ()))
 @example((SLOW_SHAPES[1][0], ()))
+@example(("2/5*x^4*y^4*z-2/5*x^2*y^4+y^5+x^4-1/3*x*y*z^2+z^2", (7, 8, 5)))
+@example(("2/3*x^3*y*z^2*w^2+1/5*x^2*z^2*w^2+z^4+3/5*y^2*z*w+x^3+y^2+w^2", (6, 3, 6, 5)))
 def test_buchberger_matches_sympy_groebner(ideal):
     # independent oracle: sympy's reduced grevlex basis is unique, so it
     # must equal ours generator for generator (both monic), and the
     # standard monomials it leaves must number quotient_dimension; the
-    # fixed examples are the Tjurina ideals (f, Jac f) alone
+    # first two fixed examples are the Tjurina ideals (f, Jac f) alone,
+    # the last two ran for minutes when the input generators joined the
+    # basis in the order given instead of by increasing leading monomial
     sympy = pytest.importorskip("sympy")
     text, caps = ideal
     f = parse_polynomial(text)
@@ -294,9 +298,9 @@ def test_buchberger_matches_sympy_groebner(ideal):
     (SLOW_SHAPES[1][0], SLOW_SHAPES[1][1], 125),
 ])
 def test_pair_criteria_bound_the_s_polynomials(monkeypatch, text, tau, most):
-    # these germs form 166 and 104 S-polynomials; 2009 and 1360 with the
-    # product criterion alone, 248 and 150 without the chain criterion, and
-    # 225 and 141 without criterion M
+    # these germs form 163 and 98 S-polynomials; 1942 and 1081 with the
+    # product criterion alone, 249 and 142 without the chain criterion, and
+    # 222 and 159 without criterion M
     formed = []
     original = groebner.s_polynomial
 
