@@ -5,7 +5,9 @@ exactly as p/q (never as a decimal), collections are emitted in sorted
 order, and identical invocations produce identical bytes.  Domain errors
 exit 1 with a structured {"error": kind, "message": ...} record on stderr,
 usage errors exit 2, and a failed internal self-check exits 3 with the
-record {"error": "INTERNAL", "message": ...}.
+record {"error": "INTERNAL", "message": ...}.  An output file (--out, and
+the --json file or --dot directory of enumerate) that cannot be written
+exits 1 with the record {"error": "IO_ERROR", "message": ...}.
 """
 from __future__ import annotations
 
@@ -13,6 +15,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from . import catalog, checks, cones, groebner, resolution, toric_an
@@ -96,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Each subcommand builds one document: the value that --format json prints.
-# Every other format is a view that reads only that document.
+# Every other format is a view that reads only that document.  The an-blowups
+# document is its records, the tuple enumerate_plt_blowups returns; both of
+# its views, json and text, print straight from their integers.
 
 
 def _cone_document(triple: ConeTriple) -> dict:
@@ -162,19 +168,9 @@ def _enumerate(args: argparse.Namespace) -> dict:
     return document
 
 
-def _an_blowups(args: argparse.Namespace) -> list:
-    # (a-1)/a and 1/max(a, b) are in lowest terms; a = 1 gives "0" and "1"
+def _an_blowups(args: argparse.Namespace) -> tuple:
     bound = args.bound if args.bound is not None else 4 * args.n
-    return [
-        {
-            "ray": list(record.ray),
-            "a": record.a,
-            "b": record.b,
-            "diff": [_one_minus_reciprocal(record.a), _one_minus_reciprocal(record.b)],
-            "threshold": _reciprocal(max(record.a, record.b)),
-        }
-        for record in toric_an.enumerate_plt_blowups(args.n, bound)
-    ]
+    return toric_an.enumerate_plt_blowups(args.n, bound)
 
 
 def _one_minus_reciprocal(d: int) -> str:
@@ -243,42 +239,47 @@ def _enumerate_text(document: dict) -> str:
     ] + [f"{len(entries)} entries"])
 
 
-def _an_blowups_text(rows: list) -> str:
-    return _text([
-        f"ray=({row['ray'][0]},{row['ray'][1]})  a={row['a']}  b={row['b']}"
-        f"  diff=({row['diff'][0]},{row['diff'][1]})  threshold={row['threshold']}"
-        for row in rows
-    ] + [f"{len(rows)} rays"])
+# The an-blowups views print each record (x, y, b) as the ray, a = x, b, the
+# different ((a-1)/a, (b-1)/b) and the threshold 1/max(a, b), all in lowest
+# terms.  The records come one column (one x) at a time, so the text that
+# depends on x alone is laid out once per column; b = 1, where (b-1)/b is 0
+# and max(a, b) is a, takes the slower row.
 
 
-# One row of json.dumps(rows, indent=2, sort_keys=True), whose pure-Python
-# indenting encoder would cost more than building the rows.
-_AN_BLOWUPS_ROW = """\
-  {
-    "a": %d,
-    "b": %d,
-    "diff": [
-      "%s",
-      "%s"
-    ],
-    "ray": [
-      %d,
-      %d
-    ],
-    "threshold": "%s"
-  }"""
+def _an_blowups_text(records: tuple) -> str:
+    lines = []
+    for x, column in groupby(records, itemgetter(0)):
+        ray, a = f"ray=({x},", f")  a={x}  b="
+        diff = f"  diff=({_one_minus_reciprocal(x)},"
+        lines += [
+            f"{ray}{y}{a}{b}{diff}{b - 1}/{b})  threshold=1/{b if b > x else x}" if b > 1
+            else f"{ray}{y}{a}1{diff}0)  threshold={_reciprocal(x)}"
+            for _, y, b in column
+        ]
+    lines.append(f"{len(records)} rays")
+    return _text(lines)
 
 
-def _an_blowups_json(rows: list) -> str:
-    """_json_text(rows), written from the fixed layout of a row.  The rows
-    are never empty: the ray (1, 0) is interior for every n and bound."""
-    body = ",\n".join(
-        _AN_BLOWUPS_ROW % (
-            row["a"], row["b"], *row["diff"], *row["ray"], row["threshold"]
-        )
-        for row in rows
-    )
-    return f"[\n{body}\n]\n"
+def _an_blowups_json(records: tuple) -> str:
+    """_json_text of the rows {"a", "b", "diff", "ray", "threshold"}, written
+    from their fixed layout: json.dumps(indent=2, sort_keys=True) would cost
+    more than the walk.  The records are never empty: the ray (1, 0) is
+    interior for every n and bound."""
+    parts = []
+    for x, column in groupby(records, itemgetter(0)):
+        a = f'  {{\n    "a": {x},\n    "b": '
+        diff = f',\n    "diff": [\n      "{_one_minus_reciprocal(x)}",\n      "'
+        ray = f'"\n    ],\n    "ray": [\n      {x},\n      '
+        parts += (",\n", ",\n".join(
+            f'{a}{b}{diff}{b - 1}/{b}{ray}{y}\n    ],\n'
+            f'    "threshold": "1/{b if b > x else x}"\n  }}' if b > 1
+            else f'{a}1{diff}0{ray}{y}\n    ],\n    "threshold": "{_reciprocal(x)}"\n  }}'
+            for _, y, b in column
+        ))
+    # the first separator opens the list: one join, and no second copy of the rows
+    parts[0] = "[\n"
+    parts.append("\n]\n")
+    return "".join(parts)
 
 
 # One node and one edge of _json_text(document) for a resolve document.
@@ -405,11 +406,16 @@ def main(argv=None) -> int:
         return _error(exc.kind, exc, 1)
     except RuntimeError as exc:  # a failed internal self-check
         return _error("INTERNAL", exc, 3)
+    except OSError as exc:  # enumerate --json or --dot could not be written
+        return _error("IO_ERROR", exc, 1)
     text = views.get(args.format, _json_text)(document)
-    if args.out is not None:
-        args.out.write_text(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.out is not None:
+            args.out.write_text(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        return _error("IO_ERROR", exc, 1)
     # A document that carries a verdict (paper-check) exits 1 when it is false.
     return 1 if isinstance(document, dict) and document.get("ok") is False else 0
 

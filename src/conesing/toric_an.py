@@ -13,12 +13,20 @@ walked column by column, x in 1..H and y from the first value above
 -n*x/(n+1) up to H, already in sorted order, at a cost linear in the
 rays listed plus H.  A walk that would visit more than MAX_LATTICE_POINTS
 points is refused with a DomainError before it starts.
+
+A record is the integer triple (x, y, b) and nothing else: the `an-blowups`
+document is the tuple of records, and its JSON and text views print every
+derived value (a = x, the different, the threshold) straight from those
+integers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import compress, cycle, repeat
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -45,23 +53,32 @@ class LatticeCone2D:
         return abs(_det(self.u1, self.u2))
 
 
-@dataclass(frozen=True)
-class PltBlowupRecord:
-    """One interior primitive ray with its subdivision data."""
+class PltBlowupRecord(NamedTuple):
+    """One interior primitive ray (x, y) with b = n*x + (n+1)*y, the
+    determinant of its subcone towards (n+1, -n)."""
 
-    ray: tuple[int, int]
-    a: int
+    x: int
+    y: int
     b: int
+
+    @property
+    def ray(self) -> tuple[int, int]:
+        return (self.x, self.y)
+
+    @property
+    def a(self) -> int:
+        """Determinant of the subcone towards (0, 1)."""
+        return self.x
 
     @property
     def diff(self) -> tuple[Fraction, Fraction]:
         """Coefficients (1 - 1/a, 1 - 1/b) of the different on the divisor."""
-        return (Fraction(self.a - 1, self.a), Fraction(self.b - 1, self.b))
+        return (Fraction(self.x - 1, self.x), Fraction(self.b - 1, self.b))
 
     @property
     def delta_threshold(self) -> Fraction:
         """The blow-up is delta-plt exactly for delta below min(1/a, 1/b)."""
-        return Fraction(1, max(self.a, self.b))
+        return Fraction(1, max(self.x, self.b))
 
 
 def _det(u: tuple[int, int], v: tuple[int, int]) -> int:
@@ -99,14 +116,21 @@ def enumerate_plt_blowups(n: int, height_bound: int) -> tuple[PltBlowupRecord, .
             f"(n, bound) = ({n}, {height_bound}) visits {points} lattice points, "
             f"above the cap of {MAX_LATTICE_POINTS}"
         )
+    m = n + 1
+    # PltBlowupRecord(x, y, b), without a call of its Python-level __new__ per ray
+    record = partial(tuple.__new__, PltBlowupRecord)
     records = []
     for x in range(1, height_bound + 1):
         nx = n * x
         # -(n*x) // (n+1) is floor(-n*x/(n+1)); the y just above it is
         # already > -x >= -height_bound
-        for y in range(-nx // (n + 1) + 1, height_bound + 1):
-            if gcd(x, y) == 1:
-                records.append(PltBlowupRecord((x, y), x, nx + (n + 1) * y))
+        low = -nx // m + 1
+        # gcd(x, y) depends on y mod x only, so one period of the coprimality
+        # test, cycled, selects the primitive rays of the column
+        coprime = [gcd(x, y) == 1 for y in range(low, low + x)]
+        ys = compress(range(low, height_bound + 1), cycle(coprime))
+        bs = compress(range(nx + m * low, nx + m * height_bound + 1, m), cycle(coprime))
+        records += map(record, zip(repeat(x), ys, bs))
     return tuple(records)
 
 

@@ -1,12 +1,13 @@
 import argparse
 import hashlib
+import io
 import json
 import math
 import re
 import subprocess
 import sys
 import time
-from fractions import Fraction
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,15 +18,15 @@ from conesing import checks, toric_an
 from conesing.cli import (
     _an_blowups,
     _an_blowups_json,
+    _an_blowups_text,
     _json_text,
-    _one_minus_reciprocal,
-    _reciprocal,
     _resolve_document,
     _resolve_json,
     main,
 )
 from conesing.divisors import SeifertData
 from conesing.rationals import format_rational
+from reference import an_blowups_box_scan
 
 
 def run_cli(capsys, *argv):
@@ -295,19 +296,88 @@ def test_graphs_above_the_node_cap_are_a_domain_error(capsys, command):
     assert "1000000000000 nodes" in record["message"]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+def box_scan_rows(n: int, bound: int | None) -> list[dict]:
+    """The an-blowups rows, as dicts of format_rational strings, from the
+    box scan of tests/reference.py rather than the package's walk."""
+    return [
+        {
+            "ray": list(ray),
+            "a": a,
+            "b": b,
+            "diff": [format_rational(d) for d in diff],
+            "threshold": format_rational(threshold),
+        }
+        for ray, a, b, diff, threshold in an_blowups_box_scan(
+            n, bound if bound is not None else 4 * n
+        )
+    ]
+
+
+an_blowups_requests = (
     st.integers(min_value=1, max_value=30),
     st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(*an_blowups_requests)
+@example(1, 1)  # the one ray (1, 0) with a = b = 1: diff ["0", "0"], threshold "1"
 def test_an_blowups_json_view_is_the_json_document(n, bound):
-    document = _an_blowups(argparse.Namespace(n=n, bound=bound))
-    assert _an_blowups_json(document) == _json_text(document)
-    for row in document:
-        a, b = row["a"], row["b"]
-        assert _one_minus_reciprocal(a) == format_rational(1 - Fraction(1, a))
-        assert _one_minus_reciprocal(b) == format_rational(1 - Fraction(1, b))
-        assert _reciprocal(max(a, b)) == format_rational(min(Fraction(1, a), Fraction(1, b)))
+    records = _an_blowups(argparse.Namespace(n=n, bound=bound))
+    # compared line by line: pytest's diff of two long strings takes minutes
+    expected = _json_text(box_scan_rows(n, bound))
+    assert _an_blowups_json(records).split("\n") == expected.split("\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(*an_blowups_requests)
+@example(1, 1)
+def test_an_blowups_text_view_lists_the_box_scan(n, bound):
+    rows = box_scan_rows(n, bound)
+    records = _an_blowups(argparse.Namespace(n=n, bound=bound))
+    assert _an_blowups_text(records).split("\n") == [
+        f"ray=({row['ray'][0]},{row['ray'][1]})  a={row['a']}  b={row['b']}"
+        f"  diff=({row['diff'][0]},{row['diff'][1]})  threshold={row['threshold']}"
+        for row in rows
+    ] + [f"{len(rows)} rays", ""]
+
+
+class ByteCounter(io.TextIOBase):
+    """A stdout that keeps only the number of characters written to it."""
+
+    size = 0
+
+    def write(self, text: str) -> int:
+        self.size += len(text)
+        return len(text)
+
+
+def test_an_blowups_memory_is_bounded_by_the_output(monkeypatch):
+    sink = ByteCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["an-blowups", "--n", "60", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size == 8_444_162  # ASCII, so characters are bytes
+    assert peak <= 4 * sink.size
+
+
+@pytest.mark.parametrize("option", ["--out", "--json", "--dot"])
+def test_unwritable_output_path_is_an_io_error(capsys, tmp_path, option):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    # a missing directory for a file; for --dot, a path that is a file
+    target = blocker if option == "--dot" else tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, "enumerate", "--epsilon0", "1/2", "--isotropy", "2",
+                             option, str(target))
+    assert (code, out) == (1, "")
+    record = json.loads(err)
+    assert record["error"] == "IO_ERROR"
+    assert str(target) in record["message"]
 
 
 @st.composite
