@@ -18,6 +18,9 @@ walked is one integer solve of the shape's graph, whose chains are expanded
 once per shape; divisor and cone objects are built only for the entries
 kept.  The walk is refused with a DomainError above MAX_CANDIDATES
 solves, counted before the first.
+
+The module computes and renders nothing: the text and JSON views of a
+catalog are laid out by the CLI straight from its CatalogEntry values.
 """
 from __future__ import annotations
 
@@ -210,78 +213,3 @@ def catalog_consistency_check(entries) -> ConsistencyReport:
             )
         )
     return ConsistencyReport(tuple(checks))
-
-
-def entry_to_json(entry: CatalogEntry) -> dict:
-    return {
-        "divisor": str(entry.triple.polarization),
-        "seifert": {
-            "b": entry.seifert.b,
-            "branches": [list(branch) for branch in entry.seifert.branches],
-        },
-        "mld": format_rational(entry.mld),
-        "fano_angle": format_rational(entry.fano_angle),
-        "max_isotropy": entry.max_isotropy,
-        "canonical_index": entry.canonical_index,
-    }
-
-
-def catalog_to_json(epsilon0: Fraction, n_isotropy: int, entries) -> dict:
-    return {
-        "epsilon0": format_rational(Fraction(epsilon0)),
-        "N": n_isotropy,
-        "entries": [entry_to_json(entry) for entry in entries],
-    }
-
-
-# One entry, and one branch of it, of json.dumps(document, indent=2,
-# sort_keys=True), whose pure-Python indenting encoder would cost more than
-# building the document.
-_ENTRY_JSON = """\
-    {
-      "canonical_index": %d,
-      "divisor": "%s",
-      "fano_angle": "%s",
-      "max_isotropy": %d,
-      "mld": "%s",
-      "seifert": {
-        "b": %d,
-        "branches": %s
-      }
-    }"""
-_BRANCH_JSON = """\
-          [
-            %d,
-            %d
-          ]"""
-
-
-def document_json_text(document: dict) -> str:
-    """json.dumps(document, indent=2, sort_keys=True) + "\n" for a
-    catalog_to_json document, written from the fixed layout of an entry.
-    Every string in it is a rational or divisor text, which JSON does not
-    escape."""
-    rows = []
-    for entry in document["entries"]:
-        seifert = entry["seifert"]
-        branches = ",\n".join(_BRANCH_JSON % tuple(branch) for branch in seifert["branches"])
-        rows.append(_ENTRY_JSON % (
-            entry["canonical_index"],
-            entry["divisor"],
-            entry["fano_angle"],
-            entry["max_isotropy"],
-            entry["mld"],
-            seifert["b"],
-            f"[\n{branches}\n        ]" if branches else "[]",
-        ))
-    entries = ",\n".join(rows)
-    entries = f"[\n{entries}\n  ]" if entries else "[]"
-    return (
-        f'{{\n  "N": {document["N"]},\n  "entries": {entries},\n'
-        f'  "epsilon0": "{document["epsilon0"]}"\n}}\n'
-    )
-
-
-def catalog_json_text(epsilon0: Fraction, n_isotropy: int, entries) -> str:
-    """Byte-stable rendering: sorted keys, fixed separators, trailing newline."""
-    return document_json_text(catalog_to_json(epsilon0, n_isotropy, entries))

@@ -93,16 +93,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("tjurina", "Tjurina number of an isolated hypersurface singularity")
     sub.add_argument("--poly", type=str, default=None)
     sub.add_argument("--family-n", type=int, default=None, dest="family_n")
-    sub.add_argument("--t", type=_rational_arg, default=Fraction(1))
+    sub.add_argument("--t", type=_rational_arg, default=None,
+                     help="family parameter, with --family-n only (default 1)")
 
     add("paper-check", "run the built-in regression suite")
     return parser
 
 
-# Each subcommand builds one document: the value that --format json prints.
-# Every other format is a view that reads only that document.  The an-blowups
-# document is its records, the tuple enumerate_plt_blowups returns; both of
-# its views, json and text, print straight from their integers.
+# Each subcommand builds one document, and each format is a view that reads
+# only that document.  The small documents (mld, the cone records, tjurina,
+# paper-check) are dicts that --format json prints through _json_text.  The
+# resolve, enumerate and an-blowups documents are the values computed:
+# resolve's is the graph with its discrepancy report, enumerate's is
+# (epsilon0, N, entries), and an-blowups' is the tuple of records
+# enumerate_plt_blowups returns.  Every view of them, json included, lays out
+# its rows in this module straight from those values.
 
 
 def _cone_document(triple: ConeTriple) -> dict:
@@ -131,40 +136,32 @@ def _degenerate(args: argparse.Namespace) -> dict:
     return _cone_document(fiber.quotient)
 
 
-def _resolve_document(seifert: SeifertData) -> dict:
+def _solve(seifert: SeifertData) -> tuple:
+    """The resolve document of a Seifert form: its graph and that graph's
+    discrepancy report."""
     graph = resolution.build_graph(seifert)
-    report = resolution.discrepancies(graph)
-    return {
-        "nodes": [
-            {"self_intersection": e, "is_central": i == graph.central_index}
-            for i, e in enumerate(graph.nodes)
-        ],
-        "edges": [list(edge) for edge in sorted(graph.edges)],
-        "log_discrepancies": [format_rational(a) for a in report.log_discrepancies],
-        "mld": format_rational(report.mld),
-        "canonical_index": report.canonical_index,
-    }
+    return graph, resolution.discrepancies(graph)
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    return _resolve_document(args.divisor.normalize_seifert())
+def _resolve(args: argparse.Namespace) -> tuple:
+    return _solve(args.divisor.normalize_seifert())
 
 
 def _mld(args: argparse.Namespace) -> dict:
-    graph = resolution.build_graph(args.divisor.normalize_seifert())
-    return {"mld": format_rational(resolution.discrepancies(graph).mld)}
+    _, report = _solve(args.divisor.normalize_seifert())
+    return {"mld": format_rational(report.mld)}
 
 
-def _enumerate(args: argparse.Namespace) -> dict:
+def _enumerate(args: argparse.Namespace) -> tuple:
     entries = catalog.enumerate_catalog(args.epsilon0, args.isotropy)
-    document = catalog.catalog_to_json(args.epsilon0, args.isotropy, entries)
+    document = (args.epsilon0, args.isotropy, entries)
     if args.json_path is not None:
-        args.json_path.write_text(catalog.document_json_text(document))
+        args.json_path.write_text(_enumerate_json(document))
     if args.dot_dir is not None:
         args.dot_dir.mkdir(parents=True, exist_ok=True)
         for index, entry in enumerate(entries):
             path = args.dot_dir / f"entry_{index:03d}.dot"
-            path.write_text(_dot_text(_resolve_document(entry.seifert)))
+            path.write_text(_dot_text(_solve(entry.seifert)))
     return document
 
 
@@ -187,11 +184,13 @@ def _tjurina(args: argparse.Namespace) -> dict:
     if (args.poly is None) == (args.family_n is None):
         raise UsageError("tjurina needs exactly one of --poly or --family-n")
     if args.poly is not None:
+        if args.t is not None:
+            raise UsageError("--t is a parameter of --family-n, not of --poly")
         poly = groebner.parse_polynomial(args.poly)
     elif args.family_n < 4:
         raise UsageError("--family-n must be >= 4")
     else:
-        poly = groebner.family_polynomial(args.family_n, args.t)
+        poly = groebner.family_polynomial(args.family_n, 1 if args.t is None else args.t)
     return {"tjurina": groebner.tjurina(poly)}
 
 
@@ -210,31 +209,34 @@ def _record_text(document: dict) -> str:
     return _text([f"{key}: {value}" for key, value in document.items()])
 
 
-def _resolve_text(document: dict) -> str:
-    nodes = zip(document["nodes"], document["log_discrepancies"])
+def _resolve_text(document: tuple) -> str:
+    graph, report = document
+    nodes = zip(graph.nodes, report.log_discrepancies)
     return _text([
-        f"E_{i}: self-intersection {node['self_intersection']}, log discrepancy {a}"
-        + (" (central)" if node["is_central"] else "")
-        for i, (node, a) in enumerate(nodes)
-    ] + [f"mld: {document['mld']}", f"canonical index: {document['canonical_index']}"])
+        f"E_{i}: self-intersection {e}, log discrepancy {format_rational(a)}"
+        + (" (central)" if i == graph.central_index else "")
+        for i, (e, a) in enumerate(nodes)
+    ] + [f"mld: {format_rational(report.mld)}", f"canonical index: {report.canonical_index}"])
 
 
-def _dot_text(document: dict) -> str:
-    nodes = zip(document["nodes"], document["log_discrepancies"])
+def _dot_text(document: tuple) -> str:
+    graph, report = document
+    nodes = zip(graph.nodes, report.log_discrepancies)
     lines = ["digraph resolution {"]
-    for i, (node, a) in enumerate(nodes):
-        label = f"E_{i}: {node['self_intersection']}, {a}"
-        lines.append(f'  n{i} [label="{label}"];')
-    lines.extend(f"  n{i} -> n{j};" for i, j in document["edges"])
+    lines.extend(
+        f'  n{i} [label="E_{i}: {e}, {format_rational(a)}"];' for i, (e, a) in enumerate(nodes)
+    )
+    lines.extend(f"  n{i} -> n{j};" for i, j in sorted(graph.edges))
     lines.append("}")
     return _text(lines)
 
 
-def _enumerate_text(document: dict) -> str:
-    entries = document["entries"]
+def _enumerate_text(document: tuple) -> str:
+    _, _, entries = document
     return _text([
-        f"{e['divisor']}  mld={e['mld']}  r={e['fano_angle']}"
-        f"  isotropy={e['max_isotropy']}  index={e['canonical_index']}"
+        f"{e.triple.polarization}  mld={format_rational(e.mld)}"
+        f"  r={format_rational(e.fano_angle)}"
+        f"  isotropy={e.max_isotropy}  index={e.canonical_index}"
         for e in entries
     ] + [f"{len(entries)} entries"])
 
@@ -282,7 +284,10 @@ def _an_blowups_json(records: tuple) -> str:
     return "".join(parts)
 
 
-# One node and one edge of _json_text(document) for a resolve document.
+# One row of each list that _resolve_json and _enumerate_json lay out: a node
+# and an edge of resolve, a catalog entry and one branch of its Seifert form,
+# as json.dumps(indent=2, sort_keys=True) indents them.  Every string in them
+# is a rational or divisor text, which JSON does not escape.
 _NODE_JSON = """\
     {
       "is_central": %s,
@@ -293,29 +298,73 @@ _EDGE_JSON = """\
       %d,
       %d
     ]"""
+_ENTRY_JSON = """\
+    {
+      "canonical_index": %d,
+      "divisor": "%s",
+      "fano_angle": "%s",
+      "max_isotropy": %d,
+      "mld": "%s",
+      "seifert": {
+        "b": %d,
+        "branches": %s
+      }
+    }"""
+_BRANCH_JSON = """\
+          [
+            %d,
+            %d
+          ]"""
 
 
-def _resolve_json(document: dict) -> str:
-    """_json_text(document), written from the fixed layout of its rows: the
+def _resolve_json(document: tuple) -> str:
+    """The json view of resolve: the keys canonical_index, edges (sorted
+    [i, j] pairs), log_discrepancies, mld and nodes ({is_central,
+    self_intersection}), written from the fixed layout of their rows; the
     indenting encoder would hold one string per token of a graph of up to
     MAX_GRAPH_NODES nodes.  Each list is joined before the next is laid out."""
-    edges = _json_rows(_EDGE_JSON % tuple(edge) for edge in document["edges"])
-    values = _json_rows(f'    "{a}"' for a in document["log_discrepancies"])
+    graph, report = document
+    edges = _json_rows(_EDGE_JSON % edge for edge in sorted(graph.edges))
+    values = _json_rows(f'    "{format_rational(a)}"' for a in report.log_discrepancies)
     nodes = _json_rows(
-        _NODE_JSON % ("true" if node["is_central"] else "false", node["self_intersection"])
-        for node in document["nodes"]
+        _NODE_JSON % ("true" if i == graph.central_index else "false", e)
+        for i, e in enumerate(graph.nodes)
     )
     return (
-        f'{{\n  "canonical_index": {document["canonical_index"]},\n'
+        f'{{\n  "canonical_index": {report.canonical_index},\n'
         f'  "edges": {edges},\n  "log_discrepancies": {values},\n'
-        f'  "mld": "{document["mld"]}",\n  "nodes": {nodes}\n}}\n'
+        f'  "mld": "{format_rational(report.mld)}",\n  "nodes": {nodes}\n}}\n'
     )
 
 
-def _json_rows(rows) -> str:
-    """A list at indent 2 of non-empty rows already laid out at indent 4."""
+def _enumerate_json(document: tuple) -> str:
+    """The json view of enumerate, and its --json file: the keys N, entries
+    and epsilon0, each entry with canonical_index, divisor, fano_angle,
+    max_isotropy, mld and seifert {b, branches}, laid out row by row."""
+    epsilon0, n_isotropy, entries = document
+    rows = _json_rows(
+        _ENTRY_JSON % (
+            e.canonical_index,
+            e.triple.polarization,
+            format_rational(e.fano_angle),
+            e.max_isotropy,
+            format_rational(e.mld),
+            e.seifert.b,
+            _json_rows((_BRANCH_JSON % branch for branch in e.seifert.branches), 8),
+        )
+        for e in entries
+    )
+    return (
+        f'{{\n  "N": {n_isotropy},\n  "entries": {rows},\n'
+        f'  "epsilon0": "{format_rational(epsilon0)}"\n}}\n'
+    )
+
+
+def _json_rows(rows, indent: int = 2) -> str:
+    """A list of non-empty rows already laid out one level deeper than its
+    brackets, which close at indent."""
     body = ",\n".join(rows)
-    return f"[\n{body}\n  ]" if body else "[]"
+    return f"[\n{body}\n{' ' * indent}]" if body else "[]"
 
 
 def _paper_check_text(document: dict) -> str:
@@ -338,7 +387,7 @@ _COMMANDS = {
     "isotropy": (_cone, {"text": _record_text}),
     "veronese": (_veronese, {"text": _record_text}),
     "degenerate": (_degenerate, {"text": _record_text}),
-    "enumerate": (_enumerate, {"text": _enumerate_text, "json": catalog.document_json_text}),
+    "enumerate": (_enumerate, {"text": _enumerate_text, "json": _enumerate_json}),
     "an-blowups": (_an_blowups, {"text": _an_blowups_text, "json": _an_blowups_json}),
     "tjurina": (_tjurina, {"text": lambda document: _text([str(document["tjurina"])])}),
     "paper-check": (_paper_check, {"text": _paper_check_text}),

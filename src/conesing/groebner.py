@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotIsolated
+from .errors import DomainError, NotIsolated
 
 Exponents = tuple[int, ...]
 
@@ -145,16 +145,19 @@ class Poly:
         return f"Poly({self.variables}, {str(self)!r})"
 
 
-_TOKEN_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*|\d+|[-+*/^]")
+_TOKEN_RE = re.compile(r"\s+|[a-zA-Z][a-zA-Z0-9_]*|\d+|[-+*/^]")
 
 
 def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Poly:
     """Parse `+`/`-` separated terms of `*`-joined factors, each factor a
-    rational literal or var(^power).  Variables default to first-appearance
+    rational literal or var(^power).  Whitespace separates tokens, and a
+    factor must be followed by `*`, `+`, `-` or the end: "2x" and "x^2 3"
+    are errors, not 2+x and x^23.  Variables default to first-appearance
     order."""
-    tokens = _TOKEN_RE.findall(text.replace(" ", ""))
-    if "".join(tokens) != text.replace(" ", ""):
+    tokens = _TOKEN_RE.findall(text)
+    if "".join(tokens) != text:
         raise ValueError(f"cannot tokenize polynomial {text!r}")
+    tokens = [token for token in tokens if not token.isspace()]
     if variables is None:
         seen: list[str] = []
         for token in tokens:
@@ -218,8 +221,10 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Poly:
                 raise ValueError(f"unexpected token {token!r} in {text!r}")
             if peek() == "*":
                 take()
-            else:
+            elif peek() in {None, "+", "-"}:
                 expect_factor = False
+            else:
+                raise ValueError(f"expected '*', '+' or '-' before {peek()!r} in {text!r}")
         key = tuple(exponents)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     if not terms:
@@ -433,12 +438,20 @@ def _interreduce(basis: list[Poly]) -> list[Poly]:
 
 
 INFINITE = math.inf
+# Most monomials quotient_dimension scans; x^20+y^20+z^20+w^20 needs
+# 19^4 = 130321, and x^40+... (39^4, about 2.3 million) is refused.
+MAX_STANDARD_MONOMIALS = 1_000_000
 
 
 def quotient_dimension(basis: GroebnerBasis) -> int | float:
     """Number of standard monomials (those outside the leading-term ideal),
     or INFINITE when some variable has no pure power among the leading
-    monomials."""
+    monomials.
+
+    The count scans the box below the smallest pure powers; a box of more
+    than MAX_STANDARD_MONOMIALS monomials is refused with a DomainError
+    before the scan.
+    """
     leads = basis.leading_monomials()
     nvars = len(basis.variables)
     if any(sum(lead) == 0 for lead in leads):
@@ -452,6 +465,12 @@ def quotient_dimension(basis: GroebnerBasis) -> int | float:
                 caps[i] = lead[i]
     if any(cap is None for cap in caps):
         return INFINITE
+    box = math.prod(caps)
+    if box > MAX_STANDARD_MONOMIALS:
+        raise DomainError(
+            f"the standard monomials lie in a box of {box} monomials, "
+            f"above the cap of {MAX_STANDARD_MONOMIALS}"
+        )
     count = 0
     for exponents in itertools.product(*(range(cap) for cap in caps)):
         if not any(all(e >= l for e, l in zip(exponents, lead)) for lead in leads):

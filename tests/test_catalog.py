@@ -8,9 +8,11 @@ import pytest
 
 from conesing import catalog, cones, resolution
 from conesing.catalog import catalog_consistency_check, enumerate_catalog, is_member
+from conesing.cli import _enumerate_json
 from conesing.cones import ConeTriple
 from conesing.divisors import INF, MARKED_POINTS, ONE, ZERO, QDivisorP1
 from conesing.errors import DomainError
+from conesing.rationals import format_rational
 from reference import catalog_by_objects
 
 
@@ -211,11 +213,9 @@ def test_integer_classifier_matches_divisor_objects(n):
     # floors of room N / (epsilon0 isotropy) with numerators other than 1
     others = [Fraction(2), Fraction(3, 2), Fraction(2, 3), Fraction(3, 7), Fraction(5, 11)]
     for epsilon0 in [Fraction(1, k) for k in range(1, n + 1)] + others:
-        assert catalog.catalog_json_text(
-            epsilon0, n, enumerate_catalog(epsilon0, n)
-        ) == catalog.catalog_json_text(
-            epsilon0, n, catalog_by_objects(epsilon0, n)
-        ), epsilon0
+        assert _enumerate_json(
+            (epsilon0, n, enumerate_catalog(epsilon0, n))
+        ) == _enumerate_json((epsilon0, n, catalog_by_objects(epsilon0, n))), epsilon0
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -225,9 +225,26 @@ def test_catalog_json_text_is_the_json_document(n):
     others = [Fraction(2), Fraction(3, 2), Fraction(2, 3), Fraction(3, 7), Fraction(5, 11)]
     for epsilon0 in [Fraction(1, k) for k in range(1, n + 1)] + others:
         for entries in (enumerate_catalog(epsilon0, n), ()):
-            document = catalog.catalog_to_json(epsilon0, n, entries)
+            document = {
+                "epsilon0": format_rational(epsilon0),
+                "N": n,
+                "entries": [
+                    {
+                        "divisor": str(entry.triple.polarization),
+                        "seifert": {
+                            "b": entry.seifert.b,
+                            "branches": [list(branch) for branch in entry.seifert.branches],
+                        },
+                        "mld": format_rational(entry.mld),
+                        "fano_angle": format_rational(entry.fano_angle),
+                        "max_isotropy": entry.max_isotropy,
+                        "canonical_index": entry.canonical_index,
+                    }
+                    for entry in entries
+                ],
+            }
             expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
-            assert catalog.catalog_json_text(epsilon0, n, entries) == expected, epsilon0
+            assert _enumerate_json((epsilon0, n, entries)) == expected, epsilon0
 
 
 @pytest.mark.parametrize(
@@ -240,7 +257,7 @@ def test_catalog_json_text_is_the_json_document(n):
     ],
 )
 def test_catalog_json_digest_is_pinned(epsilon0, n, digest):
-    text = catalog.catalog_json_text(epsilon0, n, enumerate_catalog(epsilon0, n))
+    text = _enumerate_json((epsilon0, n, enumerate_catalog(epsilon0, n)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -274,10 +291,8 @@ def test_entries_sorted_by_degree_then_mld():
 
 def test_catalog_json_is_byte_stable():
     entries = enumerate_catalog(Fraction(1), 2)
-    first = catalog.catalog_json_text(Fraction(1), 2, entries)
-    second = catalog.catalog_json_text(
-        Fraction(1), 2, enumerate_catalog(Fraction(1), 2)
-    )
+    first = _enumerate_json((Fraction(1), 2, entries))
+    second = _enumerate_json((Fraction(1), 2, enumerate_catalog(Fraction(1), 2)))
     assert first == second
     assert '"epsilon0": "1"' in first
     assert "." not in first  # rationals are p/q strings, never decimals

@@ -20,13 +20,14 @@ from conesing.cli import (
     _an_blowups_json,
     _an_blowups_text,
     _json_text,
-    _resolve_document,
     _resolve_json,
+    _solve,
     main,
 )
 from conesing.divisors import SeifertData
 from conesing.rationals import format_rational
-from reference import an_blowups_box_scan
+from conesing.resolution import build_graph
+from reference import an_blowups_box_scan, elimination_discrepancies, star_graph
 
 
 def run_cli(capsys, *argv):
@@ -366,6 +367,22 @@ def test_an_blowups_memory_is_bounded_by_the_output(monkeypatch):
     assert peak <= 4 * sink.size
 
 
+def test_resolve_memory_is_bounded_by_the_output(monkeypatch):
+    # one chain of 19999 curves: the graph, its report and the rows, with
+    # no second copy of the graph as per-node dicts
+    sink = ByteCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["resolve", "--divisor", "inf:1/20000", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size == 2_386_747
+    assert peak <= 4 * sink.size
+
+
 @pytest.mark.parametrize("option", ["--out", "--json", "--dot"])
 def test_unwritable_output_path_is_an_io_error(capsys, tmp_path, option):
     blocker = tmp_path / "file"
@@ -395,8 +412,18 @@ def seifert_forms(draw):
 @example(SeifertData(1))  # a single node: "edges": []
 def test_resolve_json_view_is_the_json_document(seifert):
     assume(seifert.degree() > 0)
-    document = _resolve_document(seifert)
-    assert _resolve_json(document) == _json_text(document)
+    nodes, edges = star_graph(seifert)
+    report = elimination_discrepancies(build_graph(seifert))
+    expected = {
+        "nodes": [
+            {"self_intersection": e, "is_central": i == 0} for i, e in enumerate(nodes)
+        ],
+        "edges": [list(edge) for edge in sorted(edges)],
+        "log_discrepancies": [format_rational(a) for a in report.log_discrepancies],
+        "mld": format_rational(report.mld),
+        "canonical_index": report.canonical_index,
+    }
+    assert _resolve_json(_solve(seifert)) == _json_text(expected)
 
 
 @pytest.mark.parametrize("module", ["conesing", "conesing.cli"])
@@ -565,6 +592,9 @@ PINNED_OUTPUT = [
     ("tjurina --family-n 3", 2, EMPTY),
     ("tjurina", 2, EMPTY),
     ("tjurina --poly x^2+1/0*y^2", 2, EMPTY),
+    ("tjurina --poly 2x^2+y^2+z^2", 2, EMPTY),
+    ("tjurina --poly x^2+y^2+z^2 --t 5", 2, EMPTY),
+    ("tjurina --poly x^1000+y^1000+z^1000+w^1000", 1, EMPTY),
     ("paper-check", 0,
      "477464e8d7664d85d3bbd4648159d76ed0bda546cfc7891193736530163a0388"),
     ("paper-check --format json", 0,

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conesing import groebner
-from conesing.errors import NotIsolated
+from conesing.errors import DomainError, NotIsolated
 from conesing.groebner import (
     INFINITE,
     GroebnerBasis,
@@ -38,7 +38,8 @@ def test_parser_round_trip_and_arithmetic():
 
 
 def test_parser_rejects_garbage():
-    for bad in ["", "x^", "x^-2", "x**2", "x^2 + ", "(x+1)^2", "x^0", "1/0*x"]:
+    for bad in ["", "x^", "x^-2", "x**2", "x^2 + ", "(x+1)^2", "x^0", "1/0*x",
+                "2x+1", "x^2y^3", "x^2 3", "3 4"]:
         with pytest.raises(ValueError):
             parse_polynomial(bad)
 
@@ -108,6 +109,16 @@ def test_quotient_dimension_examples():
     assert quotient_dimension(buchberger([poly("x^2", ("x",))])) == 2
     assert quotient_dimension(buchberger([poly("x", ("x", "y"))])) == INFINITE
     assert quotient_dimension(buchberger([poly("1+x", ("x",)), poly("x", ("x",))])) == 0
+
+
+def test_quotient_dimension_refuses_a_box_above_the_cap():
+    # x^40+...: the partials give the box 39^4 = 2313441, refused before the scan
+    with pytest.raises(DomainError) as raised:
+        tjurina(poly("x^40+y^40+z^40+w^40"))
+    assert type(raised.value) is DomainError
+    assert "2313441 monomials" in str(raised.value)
+    # the Milnor number of x^20+...: the box 19^4 is scanned
+    assert tjurina(poly("x^20+y^20+z^20+w^20")) == 130321
 
 
 def test_tjurina_examples():
