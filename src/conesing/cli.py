@@ -107,7 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
 # resolve's is the graph with its discrepancy report, enumerate's is
 # (epsilon0, N, entries), and an-blowups' is the tuple of records
 # enumerate_plt_blowups returns.  Every view of them, json included, lays out
-# its rows in this module straight from those values.
+# its rows in this module straight from those values.  main writes the json
+# view of enumerate --json to its file before stdout, laid out once when
+# --format json prints the same text.
 
 
 def _cone_document(triple: ConeTriple) -> dict:
@@ -155,8 +157,6 @@ def _mld(args: argparse.Namespace) -> dict:
 def _enumerate(args: argparse.Namespace) -> tuple:
     entries = catalog.enumerate_catalog(args.epsilon0, args.isotropy)
     document = (args.epsilon0, args.isotropy, entries)
-    if args.json_path is not None:
-        args.json_path.write_text(_enumerate_json(document))
     if args.dot_dir is not None:
         args.dot_dir.mkdir(parents=True, exist_ok=True)
         for index, entry in enumerate(entries):
@@ -455,10 +455,13 @@ def main(argv=None) -> int:
         return _error(exc.kind, exc, 1)
     except RuntimeError as exc:  # a failed internal self-check
         return _error("INTERNAL", exc, 3)
-    except OSError as exc:  # enumerate --json or --dot could not be written
+    except OSError as exc:  # enumerate --dot could not be written
         return _error("IO_ERROR", exc, 1)
     text = views.get(args.format, _json_text)(document)
+    json_path = getattr(args, "json_path", None)  # enumerate --json
     try:
+        if json_path is not None:
+            json_path.write_text(text if args.format == "json" else views["json"](document))
         if args.out is not None:
             args.out.write_text(text)
         else:

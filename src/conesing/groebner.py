@@ -4,9 +4,9 @@ Just enough Buchberger to count quotient dimensions of zero-dimensional
 ideals: sparse polynomials with exact rational coefficients, the degrevlex
 order throughout, normal-strategy pair selection, the Gebauer-Moeller
 pair criteria (the chain criterion on queued pairs, criteria M and F and
-the product criterion on new ones), full interreduction.  The headline
-consumer is the Tjurina number of an isolated hypersurface singularity at
-the origin.
+the product criterion on new ones), one interreduction pass of the
+minimal basis.  The headline consumer is the Tjurina number of an
+isolated hypersurface singularity at the origin.
 """
 from __future__ import annotations
 
@@ -89,17 +89,6 @@ class Poly:
         scalar = Fraction(scalar)
         return Poly(self.variables, {e: scalar * c for e, c in self.terms.items()})
 
-    def shifted(self, exponents: Exponents, coeff) -> "Poly":
-        """Multiply by coeff * (monomial with the given exponents)."""
-        coeff = Fraction(coeff)
-        return Poly(
-            self.variables,
-            {
-                tuple(a + b for a, b in zip(e, exponents)): coeff * c
-                for e, c in self.terms.items()
-            },
-        )
-
     def leading(self) -> tuple[Exponents, Fraction]:
         """Leading exponents and coefficient in degrevlex."""
         if self._lead is None:
@@ -138,93 +127,52 @@ class Poly:
                 parts.append("-" + "*".join(factors))
             else:
                 parts.append(f"{coeff}*" + "*".join(factors))
-        rendered = "+".join(parts).replace("+-", "-")
-        return rendered
+        return "+".join(parts).replace("+-", "-")
 
     def __repr__(self) -> str:
         return f"Poly({self.variables}, {str(self)!r})"
 
 
-_TOKEN_RE = re.compile(r"\s+|[a-zA-Z][a-zA-Z0-9_]*|\d+|[-+*/^]")
+_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
+_FACTOR = rf"(\d+)(?:\s*/\s*(\d+))?|({_NAME_RE.pattern})(?:\s*\^\s*(\d+))?"
+_FACTOR_RE = re.compile(_FACTOR)
+# optional signs, then factors joined by "*", then a sign or the end; so
+# every term after the first opens with a sign
+_TERM_RE = re.compile(
+    rf"([-+\s]*)((?:{_FACTOR})(?:\s*\*\s*(?:{_FACTOR}))*)\s*(?=[-+]|\Z)"
+)
 
 
 def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Poly:
     """Parse `+`/`-` separated terms of `*`-joined factors, each factor a
-    rational literal or var(^power).  Whitespace separates tokens, and a
+    rational literal or var(^power).  Whitespace may separate tokens, and a
     factor must be followed by `*`, `+`, `-` or the end: "2x" and "x^2 3"
     are errors, not 2+x and x^23.  Variables default to first-appearance
     order."""
-    tokens = _TOKEN_RE.findall(text)
-    if "".join(tokens) != text:
-        raise ValueError(f"cannot tokenize polynomial {text!r}")
-    tokens = [token for token in tokens if not token.isspace()]
     if variables is None:
-        seen: list[str] = []
-        for token in tokens:
-            if token[0].isalpha() and token not in seen:
-                seen.append(token)
-        variables = seen
+        variables = dict.fromkeys(_NAME_RE.findall(text))
     variables = tuple(variables)
     index = {v: i for i, v in enumerate(variables)}
-
     terms: dict[Exponents, Fraction] = {}
     position = 0
-
-    def take() -> str | None:
-        nonlocal position
-        if position < len(tokens):
-            token = tokens[position]
-            position += 1
-            return token
-        return None
-
-    def peek() -> str | None:
-        return tokens[position] if position < len(tokens) else None
-
-    while position < len(tokens):
-        sign = Fraction(1)
-        while peek() in {"+", "-"}:
-            if take() == "-":
-                sign = -sign
-        coeff = sign
+    while position < len(text):
+        term = _TERM_RE.match(text, position)
+        if term is None:
+            raise ValueError(f"cannot parse the term at offset {position} of {text!r}")
+        position = term.end()
+        coeff = Fraction(-1 if term[1].count("-") % 2 else 1)
         exponents = [0] * len(variables)
-        expect_factor = True
-        while expect_factor:
-            token = take()
-            if token is None:
-                raise ValueError(f"dangling operator in {text!r}")
-            if token.isdigit():
-                value = Fraction(int(token))
-                if peek() == "/":
-                    take()
-                    denominator = take()
-                    if denominator is None or not denominator.isdigit():
-                        raise ValueError(f"bad rational literal in {text!r}")
-                    if int(denominator) == 0:
-                        raise ValueError(f"zero denominator in {text!r}")
-                    value /= int(denominator)
-                coeff *= value
-            elif token[0].isalpha():
-                if token not in index:
-                    raise ValueError(f"unknown variable {token!r}")
-                power = 1
-                if peek() == "^":
-                    take()
-                    exponent_token = take()
-                    if exponent_token is None or not exponent_token.isdigit():
-                        raise ValueError(f"bad exponent in {text!r}")
-                    power = int(exponent_token)
-                    if power < 1:
-                        raise ValueError("exponents must be positive integers")
-                exponents[index[token]] += power
+        for numerator, denominator, name, power in _FACTOR_RE.findall(term[2]):
+            if numerator:
+                if denominator and int(denominator) == 0:
+                    raise ValueError(f"zero denominator in {text!r}")
+                coeff *= Fraction(int(numerator), int(denominator or 1))
+            elif name not in index:
+                raise ValueError(f"unknown variable {name!r}")
+            elif power and int(power) < 1:
+                raise ValueError("exponents must be positive integers")
             else:
-                raise ValueError(f"unexpected token {token!r} in {text!r}")
-            if peek() == "*":
-                take()
-            elif peek() in {None, "+", "-"}:
-                expect_factor = False
-            else:
-                raise ValueError(f"expected '*', '+' or '-' before {peek()!r} in {text!r}")
+                exponents[index[name]] += int(power or 1)
         key = tuple(exponents)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     if not terms:
@@ -284,12 +232,17 @@ def normal_form(poly: Poly, basis: Sequence[Poly]) -> Poly:
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
+    """lcm/LT(f) * f - lcm/LT(g) * g for the lcm of the leading monomials."""
     f_lead, f_coeff = f.leading()
     g_lead, g_coeff = g.leading()
-    lcm_exp = _lcm(f_lead, g_lead)
-    f_shift = tuple(l - a for l, a in zip(lcm_exp, f_lead))
-    g_shift = tuple(l - b for l, b in zip(lcm_exp, g_lead))
-    return f.shifted(f_shift, 1 / f_coeff) - g.shifted(g_shift, 1 / g_coeff)
+    lcm = _lcm(f_lead, g_lead)
+    terms: dict[Exponents, Fraction] = {}
+    for poly, lead, scale in ((f, f_lead, 1 / f_coeff), (g, g_lead, -1 / g_coeff)):
+        shift = tuple(m - a for m, a in zip(lcm, lead))
+        for exponents, coeff in poly.terms.items():
+            target = tuple(a + b for a, b in zip(exponents, shift))
+            terms[target] = terms.get(target, 0) + scale * coeff
+    return Poly(f.variables, terms)
 
 
 @dataclass(frozen=True)
@@ -352,7 +305,8 @@ def _gebauer_moller(
 def buchberger(gens: Sequence[Poly]) -> GroebnerBasis:
     """Buchberger's algorithm with normal-strategy pair selection (smallest
     lcm in degrevlex first, ties by index) and the Gebauer-Moeller pair
-    criteria (see `_gebauer_moller`), followed by full interreduction.
+    criteria (see `_gebauer_moller`), followed by one interreduction pass
+    (see `_interreduce`).
     The input generators join by increasing leading monomial, as in
     Becker-Weispfenning, *Groebner Bases*, p. 232; S-polynomials are
     reduced by the active generators only.
@@ -406,34 +360,23 @@ def buchberger(gens: Sequence[Poly]) -> GroebnerBasis:
 
 
 def _interreduce(basis: list[Poly]) -> list[Poly]:
-    # drop generators whose leading monomial is divisible by another's
+    """The reduced basis from a monic Groebner basis.  Dropping every
+    generator whose leading monomial another's divides (the first of equal
+    ones stays) leaves a minimal basis; then one pass reducing each
+    generator by the others is enough, since no leading term can move
+    (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 2 Sec. 7,
+    Prop. 6)."""
     leads = [g.leading()[0] for g in basis]
-    keep = []
-    for i, lead in enumerate(leads):
-        dominated = any(
-            j != i
-            and all(a >= b for a, b in zip(lead, leads[j]))
-            and (leads[j] != lead or j < i)
-            for j in range(len(basis))
+    keep = [
+        g
+        for i, g in enumerate(basis)
+        if not any(
+            j != i and _divides(lead, leads[i]) and (lead != leads[i] or j < i)
+            for j, lead in enumerate(leads)
         )
-        if not dominated:
-            keep.append(basis[i])
-    # tail-reduce each survivor against the others until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            others = keep[:i] + keep[i + 1 :]
-            reduced = normal_form(keep[i], others)
-            if reduced.is_zero():
-                keep.pop(i)
-                changed = True
-                break
-            _, coeff = reduced.leading()
-            reduced = reduced.scaled(1 / coeff)
-            if reduced != keep[i]:
-                keep[i] = reduced
-                changed = True
+    ]
+    for i in range(len(keep)):
+        keep[i] = normal_form(keep[i], keep[:i] + keep[i + 1 :])
     return sorted(keep, key=lambda g: degrevlex_key(g.leading()[0]))
 
 
@@ -486,9 +429,9 @@ def tjurina(f: Poly) -> int:
     supported at the origin, which is enforced: the dimension must be
     finite and every variable nilpotent modulo the ideal.
     """
-    gens = [f] + [f.partial(i) for i in range(len(f.variables))]
-    gens = [g for g in gens if not g.is_zero()]
-    basis = buchberger(gens)
+    if f.is_zero():
+        raise ValueError("the zero polynomial has no Tjurina number")
+    basis = buchberger([f] + [f.partial(i) for i in range(len(f.variables))])
     dimension = quotient_dimension(basis)
     if dimension == INFINITE:
         raise NotIsolated("quotient is infinite-dimensional: singular locus has positive dimension")

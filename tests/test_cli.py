@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conesing import checks, toric_an
+from conesing import checks, cli, toric_an
 from conesing.cli import (
     _an_blowups,
     _an_blowups_json,
@@ -226,6 +226,35 @@ def test_enumerate_above_the_candidate_cap_is_a_domain_error(capsys, tmp_path):
     assert record["error"] == "DOMAIN_ERROR"
     assert "1950001 graph solves" in record["message"]
     assert not json_path.exists()
+
+
+@pytest.mark.parametrize("zero", ["0", "x-x"])
+def test_tjurina_refuses_the_zero_polynomial(capsys, zero):
+    code, out, err = run_cli(capsys, "tjurina", "--poly", zero)
+    assert (code, out) == (2, "")
+    assert "zero polynomial" in err
+
+
+def test_enumerate_json_is_laid_out_once_for_file_and_stdout(capsys, tmp_path, monkeypatch):
+    # the json view is reached both as a module global and through the
+    # command table; count either way
+    calls = []
+    original = cli._enumerate_json
+
+    def counting(document):
+        calls.append(document)
+        return original(document)
+
+    monkeypatch.setattr(cli, "_enumerate_json", counting)
+    monkeypatch.setitem(cli._COMMANDS["enumerate"][1], "json", counting)
+    json_path = tmp_path / "catalog.json"
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--epsilon0", "1/3", "--isotropy", "4",
+        "--format", "json", "--json", str(json_path),
+    )
+    assert code == 0
+    assert json_path.read_text() == out
+    assert len(calls) == 1
 
 
 def test_tjurina_cli(capsys):

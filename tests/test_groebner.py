@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,47 @@ def test_parser_rejects_garbage():
                 "2x+1", "x^2y^3", "x^2 3", "3 4"]:
         with pytest.raises(ValueError):
             parse_polynomial(bad)
+
+
+@pytest.mark.parametrize(("spaced", "plain"), [
+    (" x ^ 2 + 1 / 2 * y ", "x^2+1/2*y"),
+    ("+-x", "-x"),
+    ("- -x+ - +y", "x-y"),
+    ("x^2+y\n", "x^2+y"),
+])
+def test_parser_accepts_whitespace_and_sign_runs(spaced, plain):
+    assert parse_polynomial(spaced) == parse_polynomial(plain)
+
+
+@pytest.mark.parametrize("bad", [
+    "x*" * 50_000 + "?",  # one term of 50000 factors, then a bad character
+    "x * " * 25_000 + "?",
+    "x" + " " * 99_998 + "y",
+    "1" * 99_999 + "x",
+    "x^" + "2" * 99_996 + " 3",
+    "+ - " * 25_000,
+])
+def test_parser_refuses_long_garbage_in_bounded_time(bad):
+    # the term regex backtracks at most linearly, never exponentially
+    assert len(bad) >= 100_000
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        parse_polynomial(bad)
+    assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def polys(draw):
+    variables = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    exponents = st.tuples(*(st.integers(0, 4) for _ in variables))
+    coefficients = st.fractions(max_denominator=50).filter(bool)
+    return Poly(variables, draw(st.dictionaries(exponents, coefficients, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys())
+def test_parser_reads_back_what_str_prints(p):
+    assert parse_polynomial(str(p), p.variables) == p
 
 
 def test_partial_derivatives():
@@ -102,6 +144,23 @@ def test_buchberger_rejects_empty_or_mismatched():
         buchberger([Poly.zero(("x",))])
     with pytest.raises(ValueError):
         buchberger([poly("x", ("x",)), poly("y", ("y",))])
+
+
+def test_interreduction_is_one_pass(monkeypatch):
+    # x+y has the tail y, which y reduces away, and the leading monomial of
+    # x*y is a multiple of x's: one normal form for each of the two kept
+    xy = ("x", "y")
+    calls = []
+    original = groebner.normal_form
+
+    def counting(poly, basis):
+        calls.append(poly)
+        return original(poly, basis)
+
+    monkeypatch.setattr(groebner, "normal_form", counting)
+    kept = groebner._interreduce([poly("x+y", xy), poly("y", xy), poly("x*y", xy)])
+    assert kept == [poly("y", xy), poly("x", xy)]
+    assert len(calls) == len(kept)
 
 
 def test_quotient_dimension_examples():
