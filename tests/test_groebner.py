@@ -55,6 +55,7 @@ def test_parser_accepts_whitespace_and_sign_runs(spaced, plain):
     assert parse_polynomial(spaced) == parse_polynomial(plain)
 
 
+# short ids: the inputs themselves would make 100000-character test names
 @pytest.mark.parametrize("bad", [
     "x*" * 50_000 + "?",  # one term of 50000 factors, then a bad character
     "x * " * 25_000 + "?",
@@ -62,7 +63,7 @@ def test_parser_accepts_whitespace_and_sign_runs(spaced, plain):
     "1" * 99_999 + "x",
     "x^" + "2" * 99_996 + " 3",
     "+ - " * 25_000,
-])
+], ids=["factors", "spaced-factors", "spaces", "digits", "exponent", "signs"])
 def test_parser_refuses_long_garbage_in_bounded_time(bad):
     # the term regex backtracks at most linearly, never exponentially
     assert len(bad) >= 100_000
