@@ -46,57 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of surface cone singularities.",
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name: str, help_text: str, formats=("text", "json")) -> argparse.ArgumentParser:
+    for name, (help_text, options, _, views) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
+        formats = ("text", "json", *(view for view in views if view not in ("text", "json")))
         sub.add_argument("--format", choices=formats, default="text")
-        sub.add_argument("--out", type=Path, default=None,
-                         help="write the document to a file instead of stdout")
-        return sub
-
-    sub = add("mld", "minimal log discrepancy of the cone over a divisor")
-    sub.add_argument("--divisor", type=_divisor_arg, required=True)
-
-    sub = add("resolve", "star-shaped resolution graph with log discrepancies",
-              formats=("text", "json", "dot"))
-    sub.add_argument("--divisor", type=_divisor_arg, required=True)
-
-    for name, help_text in [
-        ("fano-angle", "Fano angle and vertex data of the cone"),
-        ("isotropy", "isotropy data of the cone"),
-    ]:
-        sub = add(name, help_text)
-        sub.add_argument("--divisor", type=_divisor_arg, required=True)
-
-    sub = add("veronese", "cyclic-quotient (Veronese) transform of the cone")
-    sub.add_argument("--divisor", type=_divisor_arg, required=True)
-    sub.add_argument("--m", type=int, required=True)
-
-    sub = add("degenerate", "central fiber of the vertex plt blow-up degeneration")
-    sub.add_argument("--divisor", type=_divisor_arg, required=True)
-    sub.add_argument("--m", type=int, default=None,
-                     help="Cartier multiple (default: the Cartier index)")
-
-    sub = add("enumerate", "finite catalog of cones for (epsilon0, N)")
-    sub.add_argument("--epsilon0", type=_rational_arg, required=True)
-    sub.add_argument("--isotropy", type=int, required=True)
-    sub.add_argument("--json", type=Path, default=None, dest="json_path",
-                     help="also write the catalog JSON to this path")
-    sub.add_argument("--dot", type=Path, default=None, dest="dot_dir",
-                     help="write one resolution DOT file per entry into this directory")
-
-    sub = add("an-blowups", "toric plt blow-ups of the A_n singularity")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--bound", type=int, default=None,
-                     help="ray height bound (default 4n)")
-
-    sub = add("tjurina", "Tjurina number of an isolated hypersurface singularity")
-    sub.add_argument("--poly", type=str, default=None)
-    sub.add_argument("--family-n", type=int, default=None, dest="family_n")
-    sub.add_argument("--t", type=_rational_arg, default=None,
-                     help="family parameter, with --family-n only (default 1)")
-
-    add("paper-check", "run the built-in regression suite")
+        sub.add_argument("--out", type=Path, help="write the document to a file instead of stdout")
+        for option, keywords in options.items():
+            sub.add_argument(option, **keywords)
     return parser
 
 
@@ -183,15 +139,11 @@ def _reciprocal(d: int) -> str:
 def _tjurina(args: argparse.Namespace) -> dict:
     if (args.poly is None) == (args.family_n is None):
         raise UsageError("tjurina needs exactly one of --poly or --family-n")
-    if args.poly is not None:
-        if args.t is not None:
-            raise UsageError("--t is a parameter of --family-n, not of --poly")
-        poly = groebner.parse_polynomial(args.poly)
-    elif args.family_n < 4:
-        raise UsageError("--family-n must be >= 4")
-    else:
-        poly = groebner.family_polynomial(args.family_n, 1 if args.t is None else args.t)
-    return {"tjurina": groebner.tjurina(poly)}
+    if args.family_n is not None:
+        return {"tjurina": groebner.tjurina_family(args.family_n, 1 if args.t is None else args.t)}
+    if args.t is not None:
+        raise UsageError("--t is a parameter of --family-n, not of --poly")
+    return {"tjurina": groebner.tjurina(groebner.parse_polynomial(args.poly))}
 
 
 def _paper_check(args: argparse.Namespace) -> dict:
@@ -377,20 +329,45 @@ def _paper_check_text(document: dict) -> str:
     ] + [f"{passed}/{len(results)} checks passed"])
 
 
-# subcommand -> (document builder, {format: view of the document as text});
-# a format without a view, --format json for most subcommands, prints the
-# document itself through _json_text.
+# subcommand -> (help, {option: add_argument keywords}, document builder,
+# {format: view of the document as text}).  --format offers text, json and
+# every further view; a format without a view, json for most subcommands,
+# prints the document itself through _json_text.
+_DIVISOR = {"--divisor": dict(type=_divisor_arg, required=True)}
 _COMMANDS = {
-    "mld": (_mld, {"text": lambda document: _text([document["mld"]])}),
-    "resolve": (_resolve, {"text": _resolve_text, "json": _resolve_json, "dot": _dot_text}),
-    "fano-angle": (_cone, {"text": _record_text}),
-    "isotropy": (_cone, {"text": _record_text}),
-    "veronese": (_veronese, {"text": _record_text}),
-    "degenerate": (_degenerate, {"text": _record_text}),
-    "enumerate": (_enumerate, {"text": _enumerate_text, "json": _enumerate_json}),
-    "an-blowups": (_an_blowups, {"text": _an_blowups_text, "json": _an_blowups_json}),
-    "tjurina": (_tjurina, {"text": lambda document: _text([str(document["tjurina"])])}),
-    "paper-check": (_paper_check, {"text": _paper_check_text}),
+    "mld": ("minimal log discrepancy of the cone over a divisor", _DIVISOR,
+            _mld, {"text": lambda document: _text([document["mld"]])}),
+    "resolve": ("star-shaped resolution graph with log discrepancies", _DIVISOR,
+                _resolve, {"text": _resolve_text, "json": _resolve_json, "dot": _dot_text}),
+    "fano-angle": ("Fano angle and vertex data of the cone", _DIVISOR,
+                   _cone, {"text": _record_text}),
+    "isotropy": ("isotropy data of the cone", _DIVISOR, _cone, {"text": _record_text}),
+    "veronese": ("cyclic-quotient (Veronese) transform of the cone",
+                 {**_DIVISOR, "--m": dict(type=int, required=True)},
+                 _veronese, {"text": _record_text}),
+    "degenerate": ("central fiber of the vertex plt blow-up degeneration",
+                   {**_DIVISOR, "--m": dict(
+                       type=int, help="Cartier multiple (default: the Cartier index)")},
+                   _degenerate, {"text": _record_text}),
+    "enumerate": ("finite catalog of cones for (epsilon0, N)", {
+        "--epsilon0": dict(type=_rational_arg, required=True),
+        "--isotropy": dict(type=int, required=True),
+        "--json": dict(type=Path, dest="json_path",
+                       help="also write the catalog JSON to this path"),
+        "--dot": dict(type=Path, dest="dot_dir",
+                      help="write one resolution DOT file per entry into this directory"),
+    }, _enumerate, {"text": _enumerate_text, "json": _enumerate_json}),
+    "an-blowups": ("toric plt blow-ups of the A_n singularity", {
+        "--n": dict(type=int, required=True),
+        "--bound": dict(type=int, help="ray height bound (default 4n)"),
+    }, _an_blowups, {"text": _an_blowups_text, "json": _an_blowups_json}),
+    "tjurina": ("Tjurina number of an isolated hypersurface singularity", {
+        "--poly": dict(type=str),
+        "--family-n": dict(type=int),
+        "--t": dict(type=_rational_arg, help="family parameter, with --family-n only (default 1)"),
+    }, _tjurina, {"text": lambda document: _text([str(document["tjurina"])])}),
+    "paper-check": ("run the built-in regression suite", {},
+                    _paper_check, {"text": _paper_check_text}),
 }
 
 
@@ -445,7 +422,7 @@ def main(argv=None) -> int:
         )
     except SystemExit as exc:  # usage errors and --help: return, never raise
         return exc.code
-    build, views = _COMMANDS[args.subcommand]
+    _, _, build, views = _COMMANDS[args.subcommand]
     try:
         document = build(args)
     except (UsageError, ValueError) as exc:

@@ -3,14 +3,15 @@
 Houses the polarization data of a surface cone singularity: degree,
 fractional structure, Cartier/Weil indices, the induced boundary divisor,
 the star-shaped (Seifert) normal form, and a canonical representative per
-isomorphism class of the associated graded ring.
+isomorphism class of the associated graded ring.  A divisor is the sorted
+tuple of its nonzero terms, each coefficient a Fraction n/q in lowest terms.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import NotACone
@@ -58,18 +59,15 @@ MARKED_POINTS = (ZERO, ONE, INF)
 class QDivisorP1:
     """A finitely supported Q-divisor on the projective line.
 
-    Immutable; zero coefficients are never stored.
+    Immutable: the nonzero terms are stored once, as (point, n/q) pairs
+    sorted by point, from which every index and fractional part is read.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[PointP1, Fraction | int] | None = None):
-        cleaned: dict[PointP1, Fraction] = {}
-        for point, coeff in (terms or {}).items():
-            value = Fraction(coeff)
-            if value != 0:
-                cleaned[point] = value
-        object.__setattr__(self, "_terms", cleaned)
+        nonzero = [(point, Fraction(coeff)) for point, coeff in (terms or {}).items() if coeff]
+        self._terms = tuple(sorted(nonzero, key=itemgetter(0)))
 
     @classmethod
     def parse(cls, text: str) -> "QDivisorP1":
@@ -89,13 +87,13 @@ class QDivisorP1:
         return cls(terms)
 
     def items(self) -> list[tuple[PointP1, Fraction]]:
-        return sorted(self._terms.items())
+        return list(self._terms)
 
     def coeff(self, point: PointP1) -> Fraction:
-        return self._terms.get(point, Fraction(0))
+        return next((c for p, c in self._terms if p == point), Fraction(0))
 
     def support(self) -> list[PointP1]:
-        return sorted(self._terms)
+        return [p for p, _ in self._terms]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -104,36 +102,30 @@ class QDivisorP1:
         return isinstance(other, QDivisorP1) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(self._terms)
 
     def __rmul__(self, scalar) -> "QDivisorP1":
         scalar = Fraction(scalar)
-        return QDivisorP1({p: scalar * c for p, c in self._terms.items()})
+        return QDivisorP1({p: scalar * c for p, c in self._terms})
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return ",".join(f"{p}:{format_rational(c)}" for p, c in self.items())
+        return ",".join(f"{p}:{format_rational(c)}" for p, c in self._terms) or "0"
 
     def __repr__(self) -> str:
         return f"QDivisorP1.parse({str(self)!r})"
 
     def degree(self) -> Fraction:
         """Sum of coefficients."""
-        return sum(self._terms.values(), Fraction(0))
+        return sum((c for _, c in self._terms), Fraction(0))
 
     def fractional_profile(self) -> list[tuple[PointP1, int, int]]:
-        """The points with non-integral coefficient, as (point, p, q).
+        """The points with non-integral coefficient n/q, as (point, n mod q, q).
 
-        The fractional part of each coefficient is written p/q in lowest
-        terms with 0 < p < q; integral points are dropped.
+        (n mod q)/q is the fractional part of the coefficient, in lowest
+        terms with 0 < n mod q < q; integral points are dropped.
         """
-        profile = []
-        for point, coeff in self.items():
-            frac = coeff - math.floor(coeff)
-            if frac != 0:
-                profile.append((point, frac.numerator, frac.denominator))
-        return profile
+        return [(p, c.numerator % c.denominator, c.denominator)
+                for p, c in self._terms if c.denominator > 1]
 
     def boundary_delta(self) -> "QDivisorP1":
         """The induced boundary: coefficient 1 - 1/q at each fractional point."""
@@ -143,15 +135,11 @@ class QDivisorP1:
 
     def cartier_index(self) -> int:
         """Smallest positive integer m with mD integral: lcm of the q's."""
-        index = 1
-        for _, _, q in self.fractional_profile():
-            index = lcm(index, q)
-        return index
+        return math.lcm(*(q for _, _, q in self.fractional_profile()))
 
     def weil_index(self, point: PointP1) -> int:
         """Smallest positive integer w with wD integral at the given point."""
-        frac = self.coeff(point) - math.floor(self.coeff(point))
-        return frac.denominator
+        return self.coeff(point).denominator
 
     def normalize_seifert(self) -> "SeifertData":
         """Star-shaped normal form (b; (alpha_i, beta_i)) of the divisor.
@@ -163,7 +151,7 @@ class QDivisorP1:
         deg = self.degree()
         if deg <= 0:
             raise NotACone(f"divisor degree {format_rational(deg)} <= 0")
-        b = sum(math.ceil(c) for _, c in self.items())
+        b = sum(math.ceil(c) for _, c in self._terms)
         branches = tuple((q, q - p) for _, p, q in self.fractional_profile())
         data = SeifertData(b, branches)
         if data.degree() != deg:
@@ -175,9 +163,10 @@ class QDivisorP1:
         integral linear equivalence.
 
         Fractional parts are sorted descending and placed at 0, 1, infinity;
-        the whole integer part is consolidated at infinity.  Only defined for
-        at most three fractional points (beyond that, cross-ratios are
-        moduli and no canonical labeling exists).
+        the whole integer part, the sum of n // q over the coefficients n/q,
+        is consolidated at infinity.  Only defined for at most three
+        fractional points (beyond that, cross-ratios are moduli and no
+        canonical labeling exists).
         """
         profile = self.fractional_profile()
         if len(profile) > 3:
@@ -185,13 +174,10 @@ class QDivisorP1:
                 f"canonical form needs <= 3 fractional points, got {len(profile)}"
             )
         fracs = sorted((Fraction(p, q) for _, p, q in profile), reverse=True)
-        b = sum(math.ceil(c) for _, c in self.items())
-        anchor_int = b - len(fracs)
-        terms: dict[PointP1, Fraction] = {}
-        for point, frac in zip(MARKED_POINTS, fracs):
-            terms[point] = frac
-        if anchor_int:
-            terms[INF] = terms.get(INF, Fraction(0)) + anchor_int
+        terms = dict(zip(MARKED_POINTS, fracs))
+        integer_part = sum(c.numerator // c.denominator for _, c in self._terms)
+        if integer_part:
+            terms[INF] = terms.get(INF, Fraction(0)) + integer_part
         return QDivisorP1(terms)
 
 

@@ -5,20 +5,21 @@ continued-fraction evaluator for ``hj_expand``, an append-and-link builder
 for the graph's node numbering, the dense intersection matrix and the
 chain-by-chain elimination for the closed-form discrepancies, a blow-up
 simulator and a toric lattice minimizer for the mld, the divisor-object
-classifier for the integer catalog, and the full box scan for the A_n plt
-blow-ups.  No command of the package calls them, so they live with the
-tests.
+classifier for the integer catalog, the full box scan for the A_n plt
+blow-ups, and floor-based fractional parts and indices for the divisor's
+lowest-terms reading of its coefficients.  No command of the package calls
+them, so they live with the tests.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import floor, gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from conesing import cones
 from conesing.catalog import CatalogEntry
 from conesing.cones import ConeTriple
-from conesing.divisors import MARKED_POINTS, QDivisorP1, SeifertData
+from conesing.divisors import MARKED_POINTS, PointP1, QDivisorP1, SeifertData
 from conesing.errors import NotContractible
 from conesing.rationals import RationalMatrix, hj_expand
 from conesing.resolution import DiscrepancyReport, DualGraph, build_graph, discrepancies
@@ -313,3 +314,37 @@ def an_blowups_box_scan(
                 )
             )
     return sorted(rows)
+
+
+# The divisor invariants as floor-based subtractions over a mapping of
+# point -> coefficient; ``QDivisorP1`` reads the same numbers from each
+# coefficient n/q in lowest terms.
+
+
+def floor_fractional_profile(
+    terms: Mapping[PointP1, Fraction]
+) -> list[tuple[PointP1, int, int]]:
+    """(point, p, q) of each point whose coefficient c has c - floor(c) = p/q != 0."""
+    profile = []
+    for point, coeff in sorted(terms.items()):
+        frac = coeff - floor(coeff)
+        if frac != 0:
+            profile.append((point, frac.numerator, frac.denominator))
+    return profile
+
+
+def floor_weil_index(terms: Mapping[PointP1, Fraction], point: PointP1) -> int:
+    coeff = terms.get(point, Fraction(0))
+    return (coeff - floor(coeff)).denominator
+
+
+def floor_cartier_index(terms: Mapping[PointP1, Fraction]) -> int:
+    index = 1
+    for _, _, q in floor_fractional_profile(terms):
+        index = lcm(index, q)
+    return index
+
+
+def floor_integer_part(terms: Mapping[PointP1, Fraction]) -> int:
+    """The sum of floor(c) over the coefficients."""
+    return sum(floor(coeff) for coeff in terms.values())

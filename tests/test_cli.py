@@ -173,6 +173,23 @@ def test_degenerate_record(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_every_subcommand_answers_help_with_its_formats(capsys, name):
+    code, out, err = run_cli(capsys, name, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: conesing {name} ")
+    # text and json for every subcommand; resolve alone has a further view
+    formats = "{text,json,dot}" if name == "resolve" else "{text,json}"
+    assert f"--format {formats}" in out
+
+
+def test_dot_format_is_resolve_only(capsys):
+    assert run_cli(capsys, "mld", "--divisor", "inf:3", "--format", "dot")[:2] == (2, "")
+    code, out, _ = run_cli(capsys, "resolve", "--divisor", "inf:3", "--format", "dot")
+    assert code == 0
+    assert out.startswith("digraph resolution {")
+
+
 def test_enumerate_json_catalog(capsys, tmp_path):
     out_path = tmp_path / "catalog.json"
     dot_dir = tmp_path / "graphs"
@@ -246,7 +263,7 @@ def test_enumerate_json_is_laid_out_once_for_file_and_stdout(capsys, tmp_path, m
         return original(document)
 
     monkeypatch.setattr(cli, "_enumerate_json", counting)
-    monkeypatch.setitem(cli._COMMANDS["enumerate"][1], "json", counting)
+    monkeypatch.setitem(cli._COMMANDS["enumerate"][3], "json", counting)
     json_path = tmp_path / "catalog.json"
     code, out, _ = run_cli(
         capsys, "enumerate", "--epsilon0", "1/3", "--isotropy", "4",

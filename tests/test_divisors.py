@@ -1,11 +1,20 @@
+import math
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conesing.divisors import INF, PointP1, QDivisorP1, SeifertData
+from conesing.divisors import INF, ZERO, PointP1, QDivisorP1, SeifertData
 from conesing.errors import NotACone
+from reference import (
+    floor_cartier_index,
+    floor_fractional_profile,
+    floor_integer_part,
+    floor_weil_index,
+)
 
 E8_DIVISOR = QDivisorP1.parse("0:1/2,1:1/3,inf:-4/5")
 
@@ -188,3 +197,31 @@ def test_seifert_data_validation():
         SeifertData(2, ((2, 2),))
     with pytest.raises(ValueError):
         SeifertData(2, ((4, 2),))
+
+
+# Finite points and infinity, with coefficients n/q for |n| <= 50 and q <= 12.
+divisor_terms = st.dictionaries(
+    st.one_of(st.just(INF), st.fractions(-20, 20, max_denominator=6).map(PointP1.finite)),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+    max_size=6,
+)
+
+
+@given(divisor_terms, st.data())
+def test_lowest_terms_reading_matches_floor_reference(terms, data):
+    divisor = QDivisorP1(terms)
+    shuffled = QDivisorP1(dict(data.draw(st.permutations(list(terms.items())))))
+    assert divisor.items() == sorted((p, c) for p, c in terms.items() if c != 0)
+    assert shuffled == divisor and hash(shuffled) == hash(divisor)
+    assert QDivisorP1.parse(str(divisor)) == divisor
+
+    profile = floor_fractional_profile(terms)
+    assert divisor.fractional_profile() == profile
+    assert divisor.cartier_index() == floor_cartier_index(terms)
+    for point in [*terms, INF, ZERO, pt(Fraction(1, 7))]:
+        assert divisor.weil_index(point) == floor_weil_index(terms, point)
+    if len(profile) <= 3:
+        # the fractional parts sit in (0, 1) at 0, 1 and infinity, so the
+        # floors of the canonical form's coefficients add up to its integer part
+        canonical = divisor.canonical_form()
+        assert sum(math.floor(c) for _, c in canonical.items()) == floor_integer_part(terms)
