@@ -57,9 +57,7 @@ from .resolution import (
 )
 from .toric_an import (
     AnBoundsReport,
-    LatticeCone2D,
     PltBlowupRecord,
-    an_cone,
     enumerate_plt_blowups,
     verify_example_bounds,
 )

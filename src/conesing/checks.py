@@ -129,6 +129,7 @@ def check_catalogs() -> list[CheckResult]:
     """Catalog sizes, internal consistency, and brute-force completeness."""
     results = []
     expected_sizes = {(Fraction(1), 1): 2, (Fraction(1, 2), 1): 4}
+    swept_catalogs = []
     for epsilon0, n_isotropy in [
         (Fraction(1), 1),
         (Fraction(1), 2),
@@ -142,13 +143,12 @@ def check_catalogs() -> list[CheckResult]:
                 _compare(f"{label}-size", expected_sizes[(epsilon0, n_isotropy)],
                          len(entries))
             )
+            swept_catalogs.append((label, epsilon0, n_isotropy, entries))
         consistency = catalog.catalog_consistency_check(entries)
         results.append(
             _compare(f"{label}-consistency", 0, len(consistency.failures()))
         )
-    for epsilon0, n_isotropy in [(Fraction(1), 1), (Fraction(1, 2), 1)]:
-        label = f"catalog-{format_rational(epsilon0)}-{n_isotropy}"
-        entries = catalog.enumerate_catalog(epsilon0, n_isotropy)
+    for label, epsilon0, n_isotropy, entries in swept_catalogs:
         catalog_forms = {entry.triple.polarization for entry in entries}
         swept = _brute_force_members(epsilon0, n_isotropy)
         results.append(

@@ -178,7 +178,7 @@ def _dot_text(document: tuple) -> str:
     lines.extend(
         f'  n{i} [label="E_{i}: {e}, {format_rational(a)}"];' for i, (e, a) in enumerate(nodes)
     )
-    lines.extend(f"  n{i} -> n{j};" for i, j in sorted(graph.edges))
+    lines.extend(f"  n{i} -> n{j};" for i, j in graph.edges)
     lines.append("}")
     return _text(lines)
 
@@ -276,7 +276,7 @@ def _resolve_json(document: tuple) -> str:
     indenting encoder would hold one string per token of a graph of up to
     MAX_GRAPH_NODES nodes.  Each list is joined before the next is laid out."""
     graph, report = document
-    edges = _json_rows(_EDGE_JSON % edge for edge in sorted(graph.edges))
+    edges = _json_rows(_EDGE_JSON % edge for edge in graph.edges)
     values = _json_rows(f'    "{format_rational(a)}"' for a in report.log_discrepancies)
     nodes = _json_rows(
         _NODE_JSON % ("true" if i == graph.central_index else "false", e)

@@ -57,10 +57,6 @@ class Poly:
         self._lead: tuple[Exponents, Fraction] | None = None
 
     @classmethod
-    def zero(cls, variables: Sequence[str]) -> "Poly":
-        return cls(variables)
-
-    @classmethod
     def monomial(
         cls, variables: Sequence[str], exponents: Exponents, coeff=1
     ) -> "Poly":
@@ -78,12 +74,6 @@ class Poly:
 
     def __hash__(self) -> int:
         return hash((self.variables, frozenset(self.terms.items())))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        merged = dict(self.terms)
-        for exponents, coeff in other.terms.items():
-            merged[exponents] = merged.get(exponents, Fraction(0)) - coeff
-        return Poly(self.variables, merged)
 
     def scaled(self, scalar) -> "Poly":
         scalar = Fraction(scalar)
@@ -134,13 +124,11 @@ class Poly:
 
 
 _NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
-_FACTOR = rf"(\d+)(?:\s*/\s*(\d+))?|({_NAME_RE.pattern})(?:\s*\^\s*(\d+))?"
-_FACTOR_RE = re.compile(_FACTOR)
-# optional signs, then factors joined by "*", then a sign or the end; so
-# every term after the first opens with a sign
-_TERM_RE = re.compile(
-    rf"([-+\s]*)((?:{_FACTOR})(?:\s*\*\s*(?:{_FACTOR}))*)\s*(?=[-+]|\Z)"
-)
+_FACTOR_RE = re.compile(rf"(\d+)(?:\s*/\s*(\d+))?|({_NAME_RE.pattern})(?:\s*\^\s*(\d+))?")
+# a term is optional signs, then factors joined by "*", then a sign or the
+# end; so every term after the first opens with a sign
+_SIGNS_RE = re.compile(r"[-+\s]*")
+_AFTER_FACTOR_RE = re.compile(r"\s*(?:(\*)\s*|(?=[-+]|\Z))")
 
 
 def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Poly:
@@ -156,13 +144,19 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Poly:
     terms: dict[Exponents, Fraction] = {}
     position = 0
     while position < len(text):
-        term = _TERM_RE.match(text, position)
-        if term is None:
-            raise ValueError(f"cannot parse the term at offset {position} of {text!r}")
-        position = term.end()
-        coeff = Fraction(-1 if term[1].count("-") % 2 else 1)
+        # one factor at a time, so memory stays flat however long the term
+        start = position
+        signs = _SIGNS_RE.match(text, start)
+        coeff = Fraction(-1 if signs[0].count("-") % 2 else 1)
         exponents = [0] * len(variables)
-        for numerator, denominator, name, power in _FACTOR_RE.findall(term[2]):
+        position = signs.end()
+        while True:
+            factor = _FACTOR_RE.match(text, position)
+            after = factor and _AFTER_FACTOR_RE.match(text, factor.end())
+            if after is None:
+                raise ValueError(f"cannot parse the term at offset {start} of {text!r}")
+            position = after.end()
+            numerator, denominator, name, power = factor.groups()
             if numerator:
                 if denominator and int(denominator) == 0:
                     raise ValueError(f"zero denominator in {text!r}")
@@ -173,6 +167,8 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Poly:
                 raise ValueError("exponents must be positive integers")
             else:
                 exponents[index[name]] += int(power or 1)
+            if not after[1]:
+                break
         key = tuple(exponents)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     if not terms:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .divisors import SeifertData
@@ -55,14 +56,15 @@ class DualGraph:
         return (-self.b, *(-c for chain in self.chains for c in chain))
 
     @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        edges = set()
-        start = 1
-        for chain in self.chains:
-            curves = range(start, start + len(chain))
-            edges.update(zip((0, *curves), curves))
-            start += len(chain)
-        return frozenset(edges)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Pairs (i, j) with i < j, in sorted order: E_0 to the first curve
+        of each chain, then the links along each chain in node order."""
+        starts = tuple(accumulate(map(len, self.chains), initial=1))
+        spans = tuple(zip(starts, starts[1:]))
+        return (
+            *((0, start) for start, end in spans if start < end),
+            *((i, i + 1) for start, end in spans for i in range(start, end - 1)),
+        )
 
 
 @dataclass(frozen=True)

@@ -35,24 +35,6 @@ from .errors import DomainError
 MAX_LATTICE_POINTS = 1_000_000
 
 
-@dataclass(frozen=True)
-class LatticeCone2D:
-    """Strictly convex cone spanned by two primitive integer vectors."""
-
-    u1: tuple[int, int]
-    u2: tuple[int, int]
-
-    def __post_init__(self):
-        for u in (self.u1, self.u2):
-            if gcd(abs(u[0]), abs(u[1])) != 1:
-                raise ValueError(f"generator {u} is not primitive")
-        if _det(self.u1, self.u2) == 0:
-            raise ValueError("generators are linearly dependent")
-
-    def index(self) -> int:
-        return abs(_det(self.u1, self.u2))
-
-
 class PltBlowupRecord(NamedTuple):
     """One interior primitive ray (x, y) with b = n*x + (n+1)*y, the
     determinant of its subcone towards (n+1, -n)."""
@@ -81,17 +63,6 @@ class PltBlowupRecord(NamedTuple):
         return Fraction(1, max(self.x, self.b))
 
 
-def _det(u: tuple[int, int], v: tuple[int, int]) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def an_cone(n: int) -> LatticeCone2D:
-    """Standard cone of the A_n singularity: <(0,1), (n+1,-n)>."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return LatticeCone2D((0, 1), (n + 1, -n))
-
-
 def lattice_points_visited(n: int, height_bound: int) -> int:
     """Points (x, y) enumerate_plt_blowups visits: the sum over x in 1..H of
     H + ceil(n x/(n+1)), where ceil(n x/(n+1)) = x - floor(x/(n+1))."""
@@ -107,7 +78,8 @@ def enumerate_plt_blowups(n: int, height_bound: int) -> tuple[PltBlowupRecord, .
 
     Raises DomainError, before walking, when the walk would visit more than
     MAX_LATTICE_POINTS lattice points."""
-    an_cone(n)  # rejects n < 1 before the bound is checked
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if height_bound < 1:
         raise ValueError("height_bound must be >= 1")
     points = lattice_points_visited(n, height_bound)
@@ -143,9 +115,6 @@ def minimal_resolution_rays(n: int) -> tuple[tuple[int, int], ...]:
 class AnBoundsReport:
     """Exhaustive sweep verdict for one A_n germ."""
 
-    n: int
-    height_bound: int
-    ray_count: int
     sum_bound_ok: bool
     equality_rays_ok: bool
     max_threshold: Fraction
@@ -172,9 +141,6 @@ def verify_example_bounds(n: int, height_bound: int) -> AnBoundsReport:
     threshold_bound_ok = best.delta_threshold < Fraction(2, n)
     max_inside_bound = max(abs(best.ray[0]), abs(best.ray[1])) < height_bound
     return AnBoundsReport(
-        n=n,
-        height_bound=height_bound,
-        ray_count=len(records),
         sum_bound_ok=sum_bound_ok,
         equality_rays_ok=equality_rays_ok,
         max_threshold=best.delta_threshold,

@@ -214,7 +214,7 @@ def mld_blowup_oracle(graph: DualGraph, rounds: int) -> Fraction:
             )
         return best
 
-    return explore(base.log_discrepancies, graph.edges, rounds, best)
+    return explore(base.log_discrepancies, frozenset(graph.edges), rounds, best)
 
 
 def _full_chain(seifert: SeifertData) -> list[int]:

@@ -484,6 +484,22 @@ def test_python_dash_m_runs_main(capsys, module, divisor):
     assert (completed.returncode, completed.stdout, completed.stderr) == (code, out, err)
 
 
+def test_runtime_imports_only_the_standard_library():
+    # -I -S: no site, .pth files or PYTHONPATH, so only src is added to the path
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import conesing.cli, conesing.checks; "
+        "print(*sorted({name.partition('.')[0] for name in sys.modules}))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    allowed = {*sys.stdlib_module_names, *sys.builtin_module_names, "conesing", "__main__"}
+    loaded = set(completed.stdout.split())
+    assert "conesing" in loaded and loaded - allowed == set()
+
+
 def test_paper_check_text_reports_and_exit(capsys):
     code, out, _ = run_cli(capsys, "paper-check")
     lines = out.strip().splitlines()

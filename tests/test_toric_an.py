@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conesing.toric_an import (
-    an_cone,
     enumerate_plt_blowups,
     lattice_points_visited,
     minimal_resolution_rays,
@@ -20,13 +19,9 @@ def record_for(n: int, ray: tuple[int, int], bound: int = 12):
     return match[0]
 
 
-def test_an_cone():
-    assert an_cone(1).u1 == (0, 1) and an_cone(1).u2 == (2, -1)
-    assert an_cone(3).u2 == (4, -3)
-    assert an_cone(7).u2 == (8, -7)
-    assert an_cone(5).index() == 6
+def test_enumerate_rejects_n_below_one():
     with pytest.raises(ValueError):
-        an_cone(0)
+        enumerate_plt_blowups(0, 5)
 
 
 def test_enumerated_records():
@@ -49,12 +44,11 @@ def test_enumerated_records():
 def test_rays_are_strictly_interior_and_primitive():
     from math import gcd
 
-    cone = an_cone(4)
     for r in enumerate_plt_blowups(4, 10):
         assert gcd(abs(r.ray[0]), abs(r.ray[1])) == 1
         assert r.a >= 1 and r.b >= 1
         # boundary rays never appear
-        assert r.ray not in (cone.u1, cone.u2)
+        assert r.ray not in ((0, 1), (5, -4))
 
 
 def test_minimal_resolution_rays_have_split_determinants():
