@@ -138,11 +138,11 @@ def _reciprocal(d: int) -> str:
 
 def _tjurina(args: argparse.Namespace) -> dict:
     if (args.poly is None) == (args.family_n is None):
-        raise UsageError("tjurina needs exactly one of --poly or --family-n")
+        raise ValueError("tjurina needs exactly one of --poly or --family-n")
     if args.family_n is not None:
         return {"tjurina": groebner.tjurina_family(args.family_n, 1 if args.t is None else args.t)}
     if args.t is not None:
-        raise UsageError("--t is a parameter of --family-n, not of --poly")
+        raise ValueError("--t is a parameter of --family-n, not of --poly")
     return {"tjurina": groebner.tjurina(groebner.parse_polynomial(args.poly))}
 
 
@@ -379,10 +379,6 @@ def _text(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-class UsageError(Exception):
-    pass
-
-
 # Options whose value may begin with "-": a divisor with a negative point, a
 # polynomial with a negative leading term, a negative parameter.  argparse
 # reads such a token as an unknown option unless it is attached with "=".
@@ -425,7 +421,7 @@ def main(argv=None) -> int:
     _, _, build, views = _COMMANDS[args.subcommand]
     try:
         document = build(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Mapping
 
 from .errors import NotACone
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_error, parse_rational
 
 
 @dataclass(frozen=True, order=True)
@@ -38,11 +38,11 @@ class PointP1:
         return cls(True)
 
     @classmethod
-    def parse(cls, text: str) -> "PointP1":
-        text = text.strip()
-        if text == "inf":
+    def parse(cls, text: str, start: int = 0, end: int | None = None) -> "PointP1":
+        """A rational literal or "inf": all of text, or text[start:end]."""
+        if text[start:end].strip() == "inf":
             return cls.infinity()
-        return cls.finite(parse_rational(text))
+        return cls.finite(parse_rational(text, start, end))
 
     def __str__(self) -> str:
         return "inf" if self.is_infinity else format_rational(self.coord)
@@ -71,19 +71,22 @@ class QDivisorP1:
 
     @classmethod
     def parse(cls, text: str) -> "QDivisorP1":
-        """Parse the CLI text format, e.g. ``0:1/2,1:1/3,inf:-4/5``."""
+        """Parse the CLI text format, e.g. ``0:1/2,1:1/3,inf:-4/5``.  An error
+        names the offset in text where reading stopped."""
         terms: dict[PointP1, Fraction] = {}
-        stripped = text.strip()
-        if not stripped or stripped == "0":
+        if text.strip() in ("", "0"):
             return cls()
-        for chunk in stripped.split(","):
-            if chunk.count(":") != 1:
-                raise ValueError(f"bad divisor term {chunk!r}; expected point:coeff")
-            point_text, coeff_text = chunk.split(":")
-            point = PointP1.parse(point_text)
+        start = 0
+        for chunk in text.split(","):
+            end = start + len(chunk)
+            colon = text.find(":", start, end)
+            if colon < 0:
+                raise parse_error(text, start)
+            point = PointP1.parse(text, start, colon)
             if point in terms:
-                raise ValueError(f"duplicate point {point} in divisor")
-            terms[point] = parse_rational(coeff_text)
+                raise parse_error(text, start, "duplicate point in")
+            terms[point] = parse_rational(text, colon + 1, end)
+            start = end + 1
         return cls(terms)
 
     def items(self) -> list[tuple[PointP1, Fraction]]:

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, NotIsolated
+from .rationals import parse_error
 
 Exponents = tuple[int, ...]
 
@@ -145,8 +146,7 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Poly:
     position = 0
     while position < len(text):
         # one factor at a time, so memory stays flat however long the term
-        start = position
-        signs = _SIGNS_RE.match(text, start)
+        signs = _SIGNS_RE.match(text, position)
         coeff = Fraction(-1 if signs[0].count("-") % 2 else 1)
         exponents = [0] * len(variables)
         position = signs.end()
@@ -154,12 +154,12 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Poly:
             factor = _FACTOR_RE.match(text, position)
             after = factor and _AFTER_FACTOR_RE.match(text, factor.end())
             if after is None:
-                raise ValueError(f"cannot parse the term at offset {start} of {text!r}")
+                raise parse_error(text, factor.end() if factor else position)
             position = after.end()
             numerator, denominator, name, power = factor.groups()
             if numerator:
                 if denominator and int(denominator) == 0:
-                    raise ValueError(f"zero denominator in {text!r}")
+                    raise parse_error(text, factor.start(), "zero denominator in")
                 coeff *= Fraction(int(numerator), int(denominator or 1))
             elif name not in index:
                 raise ValueError(f"unknown variable {name!r}")

@@ -1,5 +1,5 @@
-"""Exact rational arithmetic, Hirzebruch-Jung continued fractions, and
-exact linear algebra over the rationals.
+"""Exact rational arithmetic, Hirzebruch-Jung continued fractions, and a
+dense exact linear solver that the tests use as an oracle.
 
 Rational values are ``fractions.Fraction`` throughout: always in lowest
 terms, positive denominator, arbitrary precision.  No floating point
@@ -8,26 +8,33 @@ anywhere in this package.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import SingularMatrixError
 
-# "p/q" or "p", optional sign.  Decimal literals are rejected on purpose.
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# "p/q" or "p", optional sign, whitespace around.  Decimal literals are
+# rejected on purpose.  It always matches, so it tells where reading stopped.
+_RATIONAL_RE = re.compile(r"\s*([+−-]?\d+(?:/\d+)?)?\s*")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (ASCII or U+2212 minus) into an exact rational."""
-    cleaned = text.strip().replace("−", "-")
-    if not _RATIONAL_RE.match(cleaned):
-        raise ValueError(f"not a rational literal: {text!r}")
+def parse_error(text: str, offset: int, what: str = "cannot parse") -> ValueError:
+    """The refusal of text where reading stopped: it names the offset and
+    quotes at most 20 characters from there, however long the text."""
+    return ValueError(f"{what} {text[offset:offset + 20]!r} at offset {offset}")
+
+
+def parse_rational(text: str, start: int = 0, end: int | None = None) -> Fraction:
+    """Parse "p/q" or "p" (ASCII or U+2212 minus) into an exact rational:
+    all of text, or text[start:end] with errors naming offsets in text."""
+    match = _RATIONAL_RE.match(text, start, len(text) if end is None else end)
+    if match[1] is None or match.end() < match.endpos:
+        raise parse_error(text, match.end())
     try:
-        return Fraction(cleaned)
+        return Fraction(match[1].replace("−", "-"))
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text!r}") from None
+        raise parse_error(text, match.start(1), "zero denominator in") from None
 
 
 def format_rational(value: Fraction | int) -> str:
@@ -73,120 +80,58 @@ def hj_length(alpha: int, beta: int) -> int:
     return length
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense matrix of exact rationals, row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Fraction | int]]) -> "RationalMatrix":
-        data = [[Fraction(x) for x in row] for row in rows]
-        if not data:
-            raise ValueError("matrix needs at least one row")
-        ncols = len(data[0])
-        if any(len(row) != ncols for row in data):
-            raise ValueError("ragged rows")
-        return cls(len(data), ncols, tuple(x for row in data for x in row))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.at(i, j) == self.at(j, i)
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+def _square(rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    """A Fraction copy of a non-empty square matrix given as a list of rows."""
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValueError("need a non-empty square list of rows")
+    return [[Fraction(x) for x in row] for row in rows]
 
 
-def solve_linear(
-    matrix: RationalMatrix, rhs: Sequence[Fraction | int]
-) -> tuple[Fraction, ...]:
-    """Solve M x = rhs exactly by Gaussian elimination.
-
-    Pivoting picks the candidate with the largest |numerator|; the solve is
-    re-checked exactly against the input before returning.  Raises
-    SingularMatrixError (carrying the rank found) on singular input.
-    """
-    if matrix.rows != matrix.cols:
-        raise ValueError("solve_linear needs a square matrix")
-    n = matrix.rows
+def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...]:
+    """Solve M x = rhs exactly by Gauss-Jordan elimination, M given as rows of
+    Fractions or ints.  Each column's pivot is its first nonzero candidate,
+    and the solve is re-checked exactly against the input.  Raises
+    SingularMatrixError (carrying the rank found) on singular input."""
+    a = _square(rows)
+    n = len(a)
     if len(rhs) != n:
         raise ValueError(f"rhs length {len(rhs)} != {n}")
-    a = [list(matrix.row(i)) for i in range(n)]
     b = [Fraction(x) for x in rhs]
-
     rank = 0
     for col in range(n):
-        pivot_row = None
-        pivot_size = -1
-        for r in range(rank, n):
-            if a[r][col] != 0 and abs(a[r][col].numerator) > pivot_size:
-                pivot_row = r
-                pivot_size = abs(a[r][col].numerator)
+        pivot_row = next((r for r in range(rank, n) if a[r][col]), None)
         if pivot_row is None:
             continue
         a[rank], a[pivot_row] = a[pivot_row], a[rank]
         b[rank], b[pivot_row] = b[pivot_row], b[rank]
-        pivot = a[rank][col]
         for r in range(n):
-            if r == rank or a[r][col] == 0:
-                continue
-            factor = a[r][col] / pivot
-            for c in range(col, n):
-                a[r][c] -= factor * a[rank][c]
-            b[r] -= factor * b[rank]
+            if r != rank and a[r][col]:
+                factor = a[r][col] / a[rank][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
+                b[r] -= factor * b[rank]
         rank += 1
     if rank < n:
         raise SingularMatrixError(rank, n)
-
-    # After full (Gauss-Jordan) elimination each row has a single pivot.
-    solution: list[Fraction] = [Fraction(0)] * n
-    for r in range(n):
-        col = next(c for c in range(n) if a[r][c] != 0)
-        solution[col] = b[r] / a[r][col]
-
-    for i in range(n):
-        acc = sum((matrix.at(i, j) * solution[j] for j in range(n)), Fraction(0))
-        if acc != Fraction(rhs[i]):
-            raise RuntimeError("exact solve verification failed")
-    return tuple(solution)
+    # at full rank row i holds the pivot of column i, and nothing else
+    solution = tuple(b[i] / a[i][i] for i in range(n))
+    if any(sum(x * y for x, y in zip(row, solution)) != v for row, v in zip(rows, rhs)):
+        raise RuntimeError("exact solve verification failed")
+    return solution
 
 
-def is_negative_definite(matrix: RationalMatrix) -> bool:
-    """True iff (-1)^k * (k-th leading principal minor) > 0 for all k.
-
-    Equivalent: every pivot of the no-swap elimination is negative (a zero
-    pivot means a vanishing leading minor, hence not definite).
-    """
-    if matrix.rows != matrix.cols:
-        raise ValueError("definiteness needs a square matrix")
-    if not matrix.is_symmetric():
+def is_negative_definite(rows: Sequence[Sequence]) -> bool:
+    """True iff (-1)^k * (k-th leading principal minor) > 0 for all k
+    (Sylvester): every pivot of the no-swap elimination is negative."""
+    a = _square(rows)
+    n = len(a)
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         raise ValueError("definiteness needs a symmetric matrix")
-    n = matrix.rows
-    a = [list(matrix.row(i)) for i in range(n)]
     for k in range(n):
-        pivot = a[k][k]
-        if pivot >= 0:
+        if a[k][k] >= 0:
             return False
         for r in range(k + 1, n):
-            if a[r][k] == 0:
-                continue
-            factor = a[r][k] / pivot
-            for c in range(k, n):
-                a[r][c] -= factor * a[k][c]
+            if a[r][k]:
+                factor = a[r][k] / a[k][k]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[k])]
     return True

@@ -27,7 +27,7 @@ from .rationals import solve_linear  # noqa: F401
 
 # Most nodes build_graph expands; a larger graph is refused before any chain
 # is built.  inf:1/100000 has 100000 nodes.  The run-length mld path of
-# ROADMAP item 4 would answer mld at any chain length without the node list;
+# ROADMAP item 6 would answer mld at any chain length without the node list;
 # until then mld shares this cap with resolve.
 MAX_GRAPH_NODES = 200_000
 

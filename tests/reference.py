@@ -21,7 +21,7 @@ from conesing.catalog import CatalogEntry
 from conesing.cones import ConeTriple
 from conesing.divisors import MARKED_POINTS, PointP1, QDivisorP1, SeifertData
 from conesing.errors import NotContractible
-from conesing.rationals import RationalMatrix, hj_expand
+from conesing.rationals import hj_expand
 from conesing.resolution import DiscrepancyReport, DualGraph, build_graph, discrepancies
 
 
@@ -61,8 +61,9 @@ def star_graph(seifert: SeifertData) -> tuple[tuple[int, ...], frozenset[tuple[i
     return tuple(nodes), frozenset(edges)
 
 
-def intersection_matrix(graph: DualGraph) -> RationalMatrix:
-    """Dense intersection matrix; an oracle for the tree solve."""
+def intersection_matrix(graph: DualGraph) -> list[list[Fraction]]:
+    """Dense intersection matrix as a list of rows; an oracle for the tree
+    solve."""
     n = len(graph.nodes)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i, e in enumerate(graph.nodes):
@@ -70,7 +71,7 @@ def intersection_matrix(graph: DualGraph) -> RationalMatrix:
     for i, j in graph.edges:
         rows[i][j] = Fraction(1)
         rows[j][i] = Fraction(1)
-    return RationalMatrix.from_rows(rows)
+    return rows
 
 
 def elimination_discrepancies(graph: DualGraph) -> DiscrepancyReport:

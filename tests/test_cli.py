@@ -94,6 +94,25 @@ def test_leading_minus_value_matches_equals_form(capsys, argv, expected):
     assert spaced == attached == (0, expected, "")
 
 
+# short ids: the inputs themselves would make 100000-character test names
+@pytest.mark.parametrize("argv", [
+    ["tjurina", "--poly", "x*" * 50_000 + "?"],
+    ["tjurina", "--poly", "x+" * 50_000 + "1/0"],
+    ["mld", "--divisor", "0:1/2," + "7" * 100_000],
+    ["mld", "--divisor", "0:" + "1" * 100_000 + "/x"],
+    ["enumerate", "--epsilon0", "1/" + "x" * 100_000, "--isotropy", "2"],
+], ids=["poly", "poly-zero-denominator", "divisor-term", "divisor-coefficient", "epsilon0"])
+def test_long_refused_input_is_a_short_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 1024
+
+
+def test_refused_polynomial_names_where_reading_stopped(capsys):
+    code, _, err = run_cli(capsys, "tjurina", "--poly", "x*" * 50_000 + "?")
+    assert (code, err) == (2, "usage error: cannot parse '?' at offset 100000\n")
+
+
 @pytest.mark.parametrize("following", [["--format", "json"], ["-h"]])
 def test_option_after_value_option_is_not_swallowed(capsys, following):
     assert main(["mld", "--divisor", *following]) == 2

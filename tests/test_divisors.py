@@ -40,6 +40,20 @@ def test_parse_rejects_duplicates_and_garbage():
         QDivisorP1.parse("0:0.5")
 
 
+@pytest.mark.parametrize(("bad", "message"), [
+    ("0:1/2,0:1/3", "duplicate point in '0:1/3' at offset 6"),
+    ("0=1/2", "cannot parse '0=1/2' at offset 0"),
+    ("0:1:2", "cannot parse ':2' at offset 3"),
+    ("inf:1/0", "zero denominator in '1/0' at offset 4"),
+    ("0:1/2," + "7" * 100_000, "cannot parse '77777777777777777777' at offset 6"),
+    ("0:" + "1" * 100_000 + "/x", "cannot parse '/x' at offset 100002"),
+], ids=["duplicate", "no-colon", "two-colons", "zero-denominator", "long-term", "long-coeff"])
+def test_parse_error_names_where_reading_stopped(bad, message):
+    with pytest.raises(ValueError) as info:
+        QDivisorP1.parse(bad)
+    assert str(info.value) == message
+
+
 def test_degree():
     assert QDivisorP1({pt(5): 7}).degree() == 7
     # hand sum: 1/2 + 1/3 - 4/5 = 1/30

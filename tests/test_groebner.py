@@ -64,14 +64,29 @@ def test_parser_accepts_whitespace_and_sign_runs(spaced, plain):
     "1" * 99_999 + "x",
     "x^" + "2" * 99_996 + " 3",
     "+ - " * 25_000,
-], ids=["factors", "spaced-factors", "spaces", "digits", "exponent", "signs"])
+    "x+" * 50_000 + "1/0",
+], ids=["factors", "spaced-factors", "spaces", "digits", "exponent", "signs", "zero-denominator"])
 def test_parser_refuses_long_garbage_in_bounded_time(bad):
     # each token pattern backtracks at most linearly, never exponentially
     assert len(bad) >= 100_000
     start = time.perf_counter()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         parse_polynomial(bad)
     assert time.perf_counter() - start < 1.0
+    # the message quotes a bounded window of the input, not all of it
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize(("bad", "message"), [
+    ("2x+1", "cannot parse 'x+1' at offset 1"),
+    ("x^2 3", "cannot parse ' 3' at offset 3"),
+    ("x*" * 50_000 + "?", "cannot parse '?' at offset 100000"),
+    ("x^2+1/0*y", "zero denominator in '1/0*y' at offset 4"),
+], ids=["juxtaposed", "spaced-power", "factors", "zero-denominator"])
+def test_parser_error_names_where_reading_stopped(bad, message):
+    with pytest.raises(ValueError) as info:
+        parse_polynomial(bad)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("text", ["x*" * 50_000 + "?", "x*" * 50_000 + "x"],

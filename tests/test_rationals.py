@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conesing.errors import SingularMatrixError
 from conesing.rationals import (
-    RationalMatrix,
     format_rational,
     hj_expand,
     hj_length,
@@ -32,6 +31,17 @@ def test_parse_and_format_round_trip():
 def test_parse_rejects_non_rationals(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize(("bad", "message"), [
+    ("1.5", "cannot parse '.5' at offset 1"),
+    (" 1/" + "x" * 100_000, "cannot parse '/xxxxxxxxxxxxxxxxxxx' at offset 2"),
+    ("-3/0", "zero denominator in '-3/0' at offset 0"),
+], ids=["decimal", "long", "zero-denominator"])
+def test_parse_error_names_where_reading_stopped(bad, message):
+    with pytest.raises(ValueError) as info:
+        parse_rational(bad)
+    assert str(info.value) == message
 
 
 def test_hj_expand_examples():
@@ -76,10 +86,10 @@ def test_hj_length_counts_the_expansion(pair):
 
 
 def test_solve_linear_examples():
-    identity = RationalMatrix.from_rows([[1, 0], [0, 1]])
+    identity = [[1, 0], [0, 1]]
     assert solve_linear(identity, [Fraction(3, 2), -1]) == (Fraction(3, 2), Fraction(-1))
-    assert solve_linear(RationalMatrix.from_rows([[-2]]), [-1]) == (Fraction(1, 2),)
-    a2 = RationalMatrix.from_rows([[-2, 1], [1, -2]])
+    assert solve_linear([[-2]], [-1]) == (Fraction(1, 2),)
+    a2 = [[-2, 1], [1, -2]]
     assert solve_linear(a2, [0, 0]) == (Fraction(0), Fraction(0))
 
 
@@ -87,40 +97,62 @@ def test_solve_linear_random_exact():
     rng = random.Random(7)
     for _ in range(50):
         n = rng.randint(1, 5)
-        matrix = RationalMatrix.from_rows(
-            [
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
-                for _ in range(n)
-            ]
-        )
+        matrix = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+            for _ in range(n)
+        ]
         rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
         try:
             solution = solve_linear(matrix, rhs)
         except SingularMatrixError:
             continue
         for i in range(n):
-            assert sum(matrix.at(i, j) * solution[j] for j in range(n)) == rhs[i]
+            assert sum(matrix[i][j] * solution[j] for j in range(n)) == rhs[i]
 
 
 def test_solve_linear_singular_reports_rank():
-    singular = RationalMatrix.from_rows([[1, 2], [2, 4]])
+    singular = [[1, 2], [2, 4]]
     with pytest.raises(SingularMatrixError) as info:
         solve_linear(singular, [1, 2])
     assert info.value.rank == 1
 
 
+@pytest.mark.parametrize("rows", [[], [[1, 2]], [[1], [2, 3]]], ids=["empty", "wide", "ragged"])
+def test_dense_solver_refuses_rows_that_are_not_a_square_matrix(rows):
+    with pytest.raises(ValueError):
+        solve_linear(rows, [1] * len(rows))
+    with pytest.raises(ValueError):
+        is_negative_definite(rows)
+
+
+def test_solve_linear_refuses_a_wrong_rhs_length():
+    with pytest.raises(ValueError):
+        solve_linear([[1, 0], [0, 1]], [1])
+    with pytest.raises(ValueError):
+        solve_linear([[1, 0], [0, 1]], [1, 2, 3])
+
+
+def test_dense_solver_leaves_its_input_alone():
+    # the first column's pivot is in the second row, so the solve swaps rows
+    rows, rhs = [[0, 1], [2, 0]], [3, 4]
+    assert solve_linear(rows, rhs) == (Fraction(2), Fraction(3))
+    negative = [[-2, 1], [1, -2]]
+    assert is_negative_definite(negative)
+    assert (rows, rhs, negative) == ([[0, 1], [2, 0]], [3, 4], [[-2, 1], [1, -2]])
+
+
 def test_is_negative_definite_examples():
-    assert is_negative_definite(RationalMatrix.from_rows([[-2]]))
-    assert is_negative_definite(RationalMatrix.from_rows([[-2, 1], [1, -2]]))
-    assert not is_negative_definite(RationalMatrix.from_rows([[0]]))
-    assert not is_negative_definite(RationalMatrix.from_rows([[2]]))
+    assert is_negative_definite([[-2]])
+    assert is_negative_definite([[-2, 1], [1, -2]])
+    assert not is_negative_definite([[0]])
+    assert not is_negative_definite([[2]])
     # affine A_1: determinant zero
-    assert not is_negative_definite(RationalMatrix.from_rows([[-2, 2], [2, -2]]))
+    assert not is_negative_definite([[-2, 2], [2, -2]])
 
 
 def test_is_negative_definite_rejects_non_symmetric():
     with pytest.raises(ValueError):
-        is_negative_definite(RationalMatrix.from_rows([[-2, 1], [0, -2]]))
+        is_negative_definite([[-2, 1], [0, -2]])
 
 
 def test_negative_definite_matches_principal_minors_on_random_symmetric():
@@ -156,7 +188,7 @@ def test_negative_definite_matches_principal_minors_on_random_symmetric():
             (-1) ** k * det([row[:k] for row in rows[:k]]) > 0
             for k in range(1, n + 1)
         )
-        assert is_negative_definite(RationalMatrix.from_rows(rows)) == expected
+        assert is_negative_definite(rows) == expected
 
 
 def test_rational_field_axioms_on_random_triples():
