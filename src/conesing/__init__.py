@@ -42,7 +42,6 @@ from .groebner import (
     tjurina_family,
 )
 from .rationals import (
-    format_rational,
     hj_expand,
     is_negative_definite,
     parse_rational,

@@ -33,7 +33,7 @@ from . import cones, resolution
 from .cones import ConeTriple
 from .divisors import INF, ONE, ZERO, QDivisorP1, SeifertData
 from .errors import DomainError
-from .rationals import format_rational, hj_expand
+from .rationals import hj_expand
 
 # Most graph solves enumerate_catalog makes for one (epsilon0, N); above it
 # the request is refused before the first.  (1/1000, 6) solves 19501.
@@ -85,7 +85,7 @@ def _klt_shapes(epsilon0: Fraction, n_isotropy: int):
 def _refuse_above_cap(epsilon0: Fraction, n_isotropy: int, count: int, what: str) -> None:
     if count > MAX_CANDIDATES:
         raise DomainError(
-            f"(epsilon0, N) = ({format_rational(epsilon0)}, {n_isotropy}) needs "
+            f"(epsilon0, N) = ({epsilon0}, {n_isotropy}) needs "
             f"{count} {what}, above the cap of {MAX_CANDIDATES}"
         )
 
@@ -114,7 +114,7 @@ def enumerate_catalog(epsilon0: Fraction, n_isotropy: int) -> tuple[CatalogEntry
     for (r0, r1, r2), branches, isotropy, parts in walk:
         chains = tuple(tuple(hj_expand(q, beta)) for q, beta in branches)
         fixed = {point: Fraction(r, n_isotropy) for point, r in ((ZERO, r0), (ONE, r1)) if r}
-        terms = [f"{point}:{format_rational(c)}" for point, c in fixed.items()]
+        terms = [f"{point}:{c}" for point, c in fixed.items()]
         for m in parts:
             report = resolution.discrepancies(resolution.DualGraph(len(branches) + m, chains))
             if report.mld < epsilon0:
@@ -131,7 +131,7 @@ def enumerate_catalog(epsilon0: Fraction, n_isotropy: int) -> tuple[CatalogEntry
             )
             # T = N deg D orders by degree, N being fixed; then mld, then
             # str(polarization) written from the residues
-            text = ",".join(terms + [f"inf:{format_rational(top)}"] if top else terms)
+            text = ",".join(terms + [f"inf:{top}"] if top else terms)
             found.append(((r0 + r1 + r2 + n_isotropy * m, report.mld, text), entry))
     found.sort(key=itemgetter(0))
     return tuple(entry for _, entry in found)
@@ -171,9 +171,9 @@ class ConsistencyReport:
 def catalog_consistency_check(entries) -> ConsistencyReport:
     """Re-check every entry against the structural identities:
 
-    (i)  each point log discrepancy 1/q of the quotient pair is at least
-         min(mld, 1) / max_isotropy -- min with 1 because curves through
-         the vertex already cap the lc threshold of the germ at 1;
+    (i)  max_isotropy, which the catalog takes from the residue shape,
+         equals the Cartier index of the polarization (the lcm of the
+         denominators q of its fractional points);
     (ii) fano_angle, which the catalog takes from the graph's central
          node, equals the Fano angle of the polarization computed through
          its quotient pair (cones.fano_angle);
@@ -181,15 +181,13 @@ def catalog_consistency_check(entries) -> ConsistencyReport:
     """
     checks: list[ConsistencyCheck] = []
     for index, entry in enumerate(entries):
-        profile = entry.triple.polarization.fractional_profile()
-        bound = min(entry.mld, Fraction(1)) / entry.max_isotropy
-        quotient_ok = all(Fraction(1, q) >= bound for _, _, q in profile)
+        cartier_index = entry.triple.polarization.cartier_index()
         checks.append(
             ConsistencyCheck(
                 index,
-                "quotient-discrepancy-bound",
-                quotient_ok,
-                f"min point discrepancy vs {format_rational(bound)}",
+                "isotropy-cartier-identity",
+                entry.max_isotropy == cartier_index,
+                f"max_isotropy = {entry.max_isotropy} vs Cartier index {cartier_index}",
             )
         )
         angle = cones.fano_angle(entry.triple)
@@ -198,8 +196,7 @@ def catalog_consistency_check(entries) -> ConsistencyReport:
                 index,
                 "vertex-discrepancy-identity",
                 angle == entry.fano_angle,
-                f"r = {format_rational(entry.fano_angle)} vs quotient pair "
-                f"{format_rational(angle)}",
+                f"r = {entry.fano_angle} vs quotient pair {angle}",
             )
         )
         angle_ok = entry.fano_angle <= 1 / entry.mld
@@ -208,8 +205,7 @@ def catalog_consistency_check(entries) -> ConsistencyReport:
                 index,
                 "angle-bound",
                 angle_ok,
-                f"r = {format_rational(entry.fano_angle)} vs 1/mld = "
-                f"{format_rational(1 / entry.mld)}",
+                f"r = {entry.fano_angle} vs 1/mld = {1 / entry.mld}",
             )
         )
     return ConsistencyReport(tuple(checks))

@@ -7,72 +7,53 @@ consistency plus completeness for small parameter pairs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog, cones, groebner, resolution, toric_an
 from .cones import ConeTriple
 from .divisors import INF, MARKED_POINTS, QDivisorP1
 from .errors import NotIsolated
-from .rationals import format_rational
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    ok: bool
-    expected: str
-    actual: str
+def _compare(check_id: str, expected, actual) -> dict:
+    """One check's row of the paper-check document: its id, the expected and
+    the actual value as text, and whether the two were equal."""
+    return {"id": check_id, "ok": expected == actual,
+            "expected": str(expected), "actual": str(actual)}
 
 
-def _compare(check_id: str, expected, actual) -> CheckResult:
-    return CheckResult(check_id, expected == actual, str(expected), str(actual))
-
-
-def check_cone_family(max_degree: int = 50) -> list[CheckResult]:
-    """Cone over the degree-d rational normal curve: mld = 2/d, Fano angle
-    d/2, and the vertex discrepancy matches the graph's central node."""
+def check_cone_family() -> list[dict]:
+    """Cone over the degree-d rational normal curve, d = 2..50: mld = 2/d,
+    Fano angle d/2, and the vertex discrepancy matches the graph's central
+    node."""
     results = []
-    for d in range(2, max_degree + 1):
+    for d in range(2, 51):
         triple = ConeTriple(QDivisorP1({INF: d}))
         graph = resolution.build_graph(triple.polarization.normalize_seifert())
         report = resolution.discrepancies(graph)
+        results.append(_compare(f"cone-degree-{d}-mld", Fraction(2, d), report.mld))
         results.append(
-            _compare(f"cone-degree-{d}-mld", format_rational(Fraction(2, d)),
-                     format_rational(report.mld))
+            _compare(f"cone-degree-{d}-fano-angle", Fraction(d, 2), cones.fano_angle(triple))
         )
         results.append(
-            _compare(f"cone-degree-{d}-fano-angle", format_rational(Fraction(d, 2)),
-                     format_rational(cones.fano_angle(triple)))
-        )
-        central = report.log_discrepancies[graph.central_index]
-        results.append(
-            _compare(
-                f"cone-degree-{d}-vertex-identity",
-                format_rational(cones.vertex_log_discrepancy(triple)),
-                format_rational(central),
-            )
+            _compare(f"cone-degree-{d}-vertex-identity", cones.vertex_log_discrepancy(triple),
+                     report.log_discrepancies[graph.central_index])
         )
     return results
 
 
-def check_an_bounds(max_n: int = 20) -> list[CheckResult]:
-    """A_n sweeps: a + b >= n + 1, equality on the minimal resolution, and
-    the sharp plt threshold 1/ceil((n+1)/2) below 2/n."""
+def check_an_bounds() -> list[dict]:
+    """A_n sweeps, n = 1..20: a + b >= n + 1, equality on the minimal
+    resolution, and the sharp plt threshold 1/ceil((n+1)/2) below 2/n."""
     results = []
-    for n in range(1, max_n + 1):
+    for n in range(1, 21):
         report = toric_an.verify_example_bounds(n, 4 * n)
         results.append(_compare(f"an-{n}-sum-bound", True, report.sum_bound_ok))
         results.append(
             _compare(f"an-{n}-equality-rays", True, report.equality_rays_ok)
         )
-        sharp = Fraction(1, (n + 2) // 2)
         results.append(
-            _compare(
-                f"an-{n}-threshold",
-                format_rational(sharp),
-                format_rational(report.max_threshold),
-            )
+            _compare(f"an-{n}-threshold", Fraction(1, (n + 2) // 2), report.max_threshold)
         )
         results.append(
             _compare(f"an-{n}-threshold-below-2/n", True, report.threshold_bound_ok)
@@ -80,7 +61,7 @@ def check_an_bounds(max_n: int = 20) -> list[CheckResult]:
     return results
 
 
-def check_tjurina_family() -> list[CheckResult]:
+def check_tjurina_family() -> list[dict]:
     """Tjurina numbers across the diverging family (suspended D_{n+1}
     germs: value n + 1), one non-unit deformation parameter, and the
     non-isolated limit member."""
@@ -94,11 +75,10 @@ def check_tjurina_family() -> list[CheckResult]:
     )
     try:
         groebner.tjurina(groebner.family_polynomial(6, 0))
-        results.append(CheckResult("tjurina-limit-not-isolated", False,
-                                   "NOT_ISOLATED", "no error"))
+        limit = "no error"
     except NotIsolated:
-        results.append(CheckResult("tjurina-limit-not-isolated", True,
-                                   "NOT_ISOLATED", "NOT_ISOLATED"))
+        limit = "NOT_ISOLATED"
+    results.append(_compare("tjurina-limit-not-isolated", "NOT_ISOLATED", limit))
     return results
 
 
@@ -125,7 +105,7 @@ def _brute_force_members(epsilon0: Fraction, n_isotropy: int) -> set[QDivisorP1]
     return members
 
 
-def check_catalogs() -> list[CheckResult]:
+def check_catalogs() -> list[dict]:
     """Catalog sizes, internal consistency, and brute-force completeness."""
     results = []
     expected_sizes = {(Fraction(1), 1): 2, (Fraction(1, 2), 1): 4}
@@ -136,7 +116,7 @@ def check_catalogs() -> list[CheckResult]:
         (Fraction(1, 2), 1),
         (Fraction(1, 2), 2),
     ]:
-        label = f"catalog-{format_rational(epsilon0)}-{n_isotropy}"
+        label = f"catalog-{epsilon0}-{n_isotropy}"
         entries = catalog.enumerate_catalog(epsilon0, n_isotropy)
         if (epsilon0, n_isotropy) in expected_sizes:
             results.append(
@@ -157,7 +137,7 @@ def check_catalogs() -> list[CheckResult]:
     return results
 
 
-def run_paper_checks() -> list[CheckResult]:
+def run_paper_checks() -> list[dict]:
     """The full regression suite, in a fixed order."""
     results = []
     results.extend(check_cone_family())

@@ -23,7 +23,7 @@ from . import catalog, checks, cones, groebner, resolution, toric_an
 from .cones import ConeTriple
 from .divisors import QDivisorP1, SeifertData
 from .errors import DomainError
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -70,9 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cone_document(triple: ConeTriple) -> dict:
     return {
-        "degree": format_rational(triple.polarization.degree()),
-        "fano_angle": format_rational(cones.fano_angle(triple)),
-        "vertex_log_discrepancy": format_rational(cones.vertex_log_discrepancy(triple)),
+        "degree": str(triple.polarization.degree()),
+        "fano_angle": str(cones.fano_angle(triple)),
+        "vertex_log_discrepancy": str(cones.vertex_log_discrepancy(triple)),
         "cartier_index": triple.polarization.cartier_index(),
         "max_isotropy": cones.max_isotropy(triple),
     }
@@ -107,7 +107,7 @@ def _resolve(args: argparse.Namespace) -> tuple:
 
 def _mld(args: argparse.Namespace) -> dict:
     _, report = _solve(args.divisor.normalize_seifert())
-    return {"mld": format_rational(report.mld)}
+    return {"mld": str(report.mld)}
 
 
 def _enumerate(args: argparse.Namespace) -> tuple:
@@ -127,12 +127,12 @@ def _an_blowups(args: argparse.Namespace) -> tuple:
 
 
 def _one_minus_reciprocal(d: int) -> str:
-    """format_rational(1 - Fraction(1, d)) for an integer d >= 1."""
+    """str(1 - Fraction(1, d)) for an integer d >= 1."""
     return f"{d - 1}/{d}" if d > 1 else "0"
 
 
 def _reciprocal(d: int) -> str:
-    """format_rational(Fraction(1, d)) for an integer d >= 1."""
+    """str(Fraction(1, d)) for an integer d >= 1."""
     return f"1/{d}" if d > 1 else "1"
 
 
@@ -148,13 +148,7 @@ def _tjurina(args: argparse.Namespace) -> dict:
 
 def _paper_check(args: argparse.Namespace) -> dict:
     results = checks.run_paper_checks()
-    return {
-        "ok": all(r.ok for r in results),
-        "checks": [
-            {"id": r.check_id, "ok": r.ok, "expected": r.expected, "actual": r.actual}
-            for r in results
-        ],
-    }
+    return {"ok": all(r["ok"] for r in results), "checks": results}
 
 
 def _record_text(document: dict) -> str:
@@ -165,10 +159,10 @@ def _resolve_text(document: tuple) -> str:
     graph, report = document
     nodes = zip(graph.nodes, report.log_discrepancies)
     return _text([
-        f"E_{i}: self-intersection {e}, log discrepancy {format_rational(a)}"
+        f"E_{i}: self-intersection {e}, log discrepancy {a}"
         + (" (central)" if i == graph.central_index else "")
         for i, (e, a) in enumerate(nodes)
-    ] + [f"mld: {format_rational(report.mld)}", f"canonical index: {report.canonical_index}"])
+    ] + [f"mld: {report.mld}", f"canonical index: {report.canonical_index}"])
 
 
 def _dot_text(document: tuple) -> str:
@@ -176,7 +170,7 @@ def _dot_text(document: tuple) -> str:
     nodes = zip(graph.nodes, report.log_discrepancies)
     lines = ["digraph resolution {"]
     lines.extend(
-        f'  n{i} [label="E_{i}: {e}, {format_rational(a)}"];' for i, (e, a) in enumerate(nodes)
+        f'  n{i} [label="E_{i}: {e}, {a}"];' for i, (e, a) in enumerate(nodes)
     )
     lines.extend(f"  n{i} -> n{j};" for i, j in graph.edges)
     lines.append("}")
@@ -186,8 +180,7 @@ def _dot_text(document: tuple) -> str:
 def _enumerate_text(document: tuple) -> str:
     _, _, entries = document
     return _text([
-        f"{e.triple.polarization}  mld={format_rational(e.mld)}"
-        f"  r={format_rational(e.fano_angle)}"
+        f"{e.triple.polarization}  mld={e.mld}  r={e.fano_angle}"
         f"  isotropy={e.max_isotropy}  index={e.canonical_index}"
         for e in entries
     ] + [f"{len(entries)} entries"])
@@ -277,7 +270,7 @@ def _resolve_json(document: tuple) -> str:
     MAX_GRAPH_NODES nodes.  Each list is joined before the next is laid out."""
     graph, report = document
     edges = _json_rows(_EDGE_JSON % edge for edge in graph.edges)
-    values = _json_rows(f'    "{format_rational(a)}"' for a in report.log_discrepancies)
+    values = _json_rows(f'    "{a}"' for a in report.log_discrepancies)
     nodes = _json_rows(
         _NODE_JSON % ("true" if i == graph.central_index else "false", e)
         for i, e in enumerate(graph.nodes)
@@ -285,7 +278,7 @@ def _resolve_json(document: tuple) -> str:
     return (
         f'{{\n  "canonical_index": {report.canonical_index},\n'
         f'  "edges": {edges},\n  "log_discrepancies": {values},\n'
-        f'  "mld": "{format_rational(report.mld)}",\n  "nodes": {nodes}\n}}\n'
+        f'  "mld": "{report.mld}",\n  "nodes": {nodes}\n}}\n'
     )
 
 
@@ -298,9 +291,9 @@ def _enumerate_json(document: tuple) -> str:
         _ENTRY_JSON % (
             e.canonical_index,
             e.triple.polarization,
-            format_rational(e.fano_angle),
+            e.fano_angle,
             e.max_isotropy,
-            format_rational(e.mld),
+            e.mld,
             e.seifert.b,
             _json_rows((_BRANCH_JSON % branch for branch in e.seifert.branches), 8),
         )
@@ -308,7 +301,7 @@ def _enumerate_json(document: tuple) -> str:
     )
     return (
         f'{{\n  "N": {n_isotropy},\n  "entries": {rows},\n'
-        f'  "epsilon0": "{format_rational(epsilon0)}"\n}}\n'
+        f'  "epsilon0": "{epsilon0}"\n}}\n'
     )
 
 

@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .divisors import INF, MARKED_POINTS, PointP1, QDivisorP1
 from .errors import DomainError, NotACone, NotLogFano
-from .rationals import format_rational
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,7 +28,7 @@ class ConeTriple:
     def __post_init__(self):
         if self.polarization.degree() <= 0:
             raise NotACone(
-                f"polarization degree {format_rational(self.polarization.degree())} <= 0"
+                f"polarization degree {self.polarization.degree()} <= 0"
             )
 
 
@@ -39,7 +38,7 @@ def log_fano_quotient(triple: ConeTriple) -> QDivisorP1:
     coefficient 1 - 1/q is below 1, so the pair is klt on the curve."""
     delta = triple.polarization.boundary_delta()
     if delta.degree() >= 2:
-        raise NotLogFano(f"deg delta = {format_rational(delta.degree())} >= 2")
+        raise NotLogFano(f"deg delta = {delta.degree()} >= 2")
     return delta
 
 
@@ -124,12 +123,12 @@ def central_fiber_of_plt_blowup(
         raise ValueError("adjunction denominators must be >= 2")
     if minus_e_degree <= 0:
         raise NotACone(
-            f"exceptional polarization degree {format_rational(minus_e_degree)} <= 0"
+            f"exceptional polarization degree {minus_e_degree} <= 0"
         )
     quotient_degree = m * minus_e_degree
     if quotient_degree.denominator != 1:
         raise NotACone(
-            f"{m} * {format_rational(minus_e_degree)} is not integral"
+            f"{m} * {minus_e_degree} is not integral"
         )
     for q in diff_qs:
         if m % q != 0:

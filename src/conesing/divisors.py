@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Mapping
 
 from .errors import NotACone
-from .rationals import format_rational, parse_error, parse_rational
+from .rationals import parse_error, parse_rational
 
 
 @dataclass(frozen=True, order=True)
@@ -45,7 +45,7 @@ class PointP1:
         return cls.finite(parse_rational(text, start, end))
 
     def __str__(self) -> str:
-        return "inf" if self.is_infinity else format_rational(self.coord)
+        return "inf" if self.is_infinity else str(self.coord)
 
 
 INF = PointP1.infinity()
@@ -112,7 +112,7 @@ class QDivisorP1:
         return QDivisorP1({p: scalar * c for p, c in self._terms})
 
     def __str__(self) -> str:
-        return ",".join(f"{p}:{format_rational(c)}" for p, c in self._terms) or "0"
+        return ",".join(f"{p}:{c}" for p, c in self._terms) or "0"
 
     def __repr__(self) -> str:
         return f"QDivisorP1.parse({str(self)!r})"
@@ -153,7 +153,7 @@ class QDivisorP1:
         """
         deg = self.degree()
         if deg <= 0:
-            raise NotACone(f"divisor degree {format_rational(deg)} <= 0")
+            raise NotACone(f"divisor degree {deg} <= 0")
         b = sum(math.ceil(c) for _, c in self._terms)
         branches = tuple((q, q - p) for _, p, q in self.fractional_profile())
         data = SeifertData(b, branches)

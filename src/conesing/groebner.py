@@ -162,7 +162,7 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Poly:
                     raise parse_error(text, factor.start(), "zero denominator in")
                 coeff *= Fraction(int(numerator), int(denominator or 1))
             elif name not in index:
-                raise ValueError(f"unknown variable {name!r}")
+                raise parse_error(text, factor.start(), "unknown variable in")
             elif power and int(power) < 1:
                 raise ValueError("exponents must be positive integers")
             else:
@@ -450,17 +450,7 @@ def family_polynomial(n: int, t: Fraction | int) -> Poly:
     """x^2 + y^2 + z^3 + z^2 w + t w^n over (x, y, z, w)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    terms = {
-        (2, 0, 0, 0): Fraction(1),
-        (0, 2, 0, 0): Fraction(1),
-        (0, 0, 3, 0): Fraction(1),
-        (0, 0, 2, 1): Fraction(1),
-    }
-    t = Fraction(t)
-    if t != 0:
-        key = (0, 0, 0, n)
-        terms[key] = terms.get(key, Fraction(0)) + t
-    return Poly(FAMILY_VARIABLES, terms)
+    return parse_polynomial(f"x^2+y^2+z^3+z^2*w+{Fraction(t)}*w^{n}", FAMILY_VARIABLES)
 
 
 def tjurina_family(n: int, t: Fraction | int) -> int:

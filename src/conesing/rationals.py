@@ -37,13 +37,6 @@ def parse_rational(text: str, start: int = 0, end: int | None = None) -> Fractio
         raise parse_error(text, match.start(1), "zero denominator in") from None
 
 
-def format_rational(value: Fraction | int) -> str:
-    """Render a rational as "p/q", or just "p" when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def hj_expand(alpha: int, beta: int) -> list[int]:
     """Hirzebruch-Jung expansion of alpha/beta.
 

@@ -12,7 +12,6 @@ from conesing.cli import _enumerate_json
 from conesing.cones import ConeTriple
 from conesing.divisors import INF, MARKED_POINTS, ONE, ZERO, QDivisorP1
 from conesing.errors import DomainError
-from conesing.rationals import format_rational
 from reference import catalog_by_objects
 
 
@@ -80,6 +79,16 @@ def test_consistency_check_flags_corrupted_entry():
     assert all(
         c.check != "vertex-discrepancy-identity" for c in halved_report.failures()
     )
+
+
+def test_consistency_check_flags_a_wrong_isotropy():
+    # too small and too large: max_isotropy must be the Cartier index itself
+    entries = [e for e in enumerate_catalog(Fraction(1, 2), 4) if e.max_isotropy > 1]
+    assert len(entries) == 15
+    for entry in entries:
+        for wrong in (1, 100 * entry.max_isotropy):
+            report = catalog_consistency_check([replace(entry, max_isotropy=wrong)])
+            assert [c.check for c in report.failures()] == ["isotropy-cartier-identity"]
 
 
 def _full_grid(epsilon0, n) -> list[QDivisorP1]:
@@ -226,7 +235,7 @@ def test_catalog_json_text_is_the_json_document(n):
     for epsilon0 in [Fraction(1, k) for k in range(1, n + 1)] + others:
         for entries in (enumerate_catalog(epsilon0, n), ()):
             document = {
-                "epsilon0": format_rational(epsilon0),
+                "epsilon0": str(epsilon0),
                 "N": n,
                 "entries": [
                     {
@@ -235,8 +244,8 @@ def test_catalog_json_text_is_the_json_document(n):
                             "b": entry.seifert.b,
                             "branches": [list(branch) for branch in entry.seifert.branches],
                         },
-                        "mld": format_rational(entry.mld),
-                        "fano_angle": format_rational(entry.fano_angle),
+                        "mld": str(entry.mld),
+                        "fano_angle": str(entry.fano_angle),
                         "max_isotropy": entry.max_isotropy,
                         "canonical_index": entry.canonical_index,
                     }

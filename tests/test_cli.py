@@ -25,7 +25,6 @@ from conesing.cli import (
     main,
 )
 from conesing.divisors import SeifertData
-from conesing.rationals import format_rational
 from conesing.resolution import build_graph
 from reference import an_blowups_box_scan, elimination_discrepancies, star_graph
 
@@ -363,15 +362,15 @@ def test_graphs_above_the_node_cap_are_a_domain_error(capsys, command):
 
 
 def box_scan_rows(n: int, bound: int | None) -> list[dict]:
-    """The an-blowups rows, as dicts of format_rational strings, from the
+    """The an-blowups rows, with their rationals as str, from the
     box scan of tests/reference.py rather than the package's walk."""
     return [
         {
             "ray": list(ray),
             "a": a,
             "b": b,
-            "diff": [format_rational(d) for d in diff],
-            "threshold": format_rational(threshold),
+            "diff": [str(d) for d in diff],
+            "threshold": str(threshold),
         }
         for ray, a, b, diff, threshold in an_blowups_box_scan(
             n, bound if bound is not None else 4 * n
@@ -484,8 +483,8 @@ def test_resolve_json_view_is_the_json_document(seifert):
             {"self_intersection": e, "is_central": i == 0} for i, e in enumerate(nodes)
         ],
         "edges": [list(edge) for edge in sorted(edges)],
-        "log_discrepancies": [format_rational(a) for a in report.log_discrepancies],
-        "mld": format_rational(report.mld),
+        "log_discrepancies": [str(a) for a in report.log_discrepancies],
+        "mld": str(report.mld),
         "canonical_index": report.canonical_index,
     }
     assert _resolve_json(_solve(seifert)) == _json_text(expected)
@@ -552,13 +551,13 @@ def test_paper_check_negative_control_sign_flip(capsys, monkeypatch):
         )
 
     monkeypatch.setattr(resolution_module, "discrepancies", flipped)
-    results = checks.check_cone_family(max_degree=6)
-    failed = [r for r in results if not r.ok]
+    results = checks.check_cone_family()
+    failed = [r for r in results if not r["ok"]]
     assert failed
-    assert any(r.check_id == "cone-degree-3-mld" for r in failed)
-    sample = next(r for r in failed if r.check_id == "cone-degree-3-mld")
-    assert sample.expected == "2/3"
-    assert sample.actual == "4/3"
+    assert any(r["id"] == "cone-degree-3-mld" for r in failed)
+    sample = next(r for r in failed if r["id"] == "cone-degree-3-mld")
+    assert sample["expected"] == "2/3"
+    assert sample["actual"] == "4/3"
 
 
 def test_paper_check_negative_control_range_off_by_one(capsys, monkeypatch):
@@ -572,9 +571,9 @@ def test_paper_check_negative_control_range_off_by_one(capsys, monkeypatch):
 
     monkeypatch.setattr(catalog_module, "integer_parts", shrunk)
     results = checks.check_catalogs()
-    failed = [r for r in results if not r.ok]
-    assert any("completeness" in r.check_id for r in failed) or any(
-        "size" in r.check_id for r in failed
+    failed = [r for r in results if not r["ok"]]
+    assert any("completeness" in r["id"] for r in failed) or any(
+        "size" in r["id"] for r in failed
     )
 
 # Exit code and sha256 of stdout for every subcommand in every format it
@@ -721,6 +720,28 @@ def test_cli_output_bytes_are_pinned(capsys, tmp_path):
     assert written == PINNED_FILES
 
 
+# One sha256 per workload of benchmarks/workloads.py over (argv, exit code,
+# stdout, stderr) of every request in its first 4 cycles at seed 11.
+CORPUS_DIGESTS = {
+    "algebra": "16fbd1c984897eaa15f33152e85c64a337e87e311e9f1494213ca55dd0188303",
+    "catalog": "91db5332862aba8774f5c1809f7663baa077d10c2637411716d39b9bd295db47",
+    "graph": "f3b6b4922c73b94d0b8106de3ae246c52474cfa595df1227d1c9fb0ec56f84e0",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(CORPUS_DIGESTS))
+def test_request_corpus_bytes_are_pinned(capsys, monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import workloads
+
+    digest = hashlib.sha256()
+    for cycle in range(4):
+        for request in workloads.WORKLOADS[workload](11, cycle):
+            code, out, err = run_cli(capsys, *request.argv)
+            digest.update(json.dumps([request.argv, code, out, err]).encode())
+    assert digest.hexdigest() == CORPUS_DIGESTS[workload]
+
+
 @pytest.mark.parametrize("command", [["fano-angle"], ["isotropy"], ["veronese", "--m", "2"]])
 def test_cone_commands_refuse_a_cone_that_is_not_klt(capsys, command):
     # deg delta = 5 * 6/7 >= 2
@@ -730,7 +751,7 @@ def test_cone_commands_refuse_a_cone_that_is_not_klt(capsys, command):
 
 
 def test_paper_check_failure_exits_1(capsys, monkeypatch):
-    failing = [checks.CheckResult("cone-degree-3-mld", False, "2/3", "4/3")]
+    failing = [{"id": "cone-degree-3-mld", "ok": False, "expected": "2/3", "actual": "4/3"}]
     monkeypatch.setattr(checks, "run_paper_checks", lambda: failing)
 
     code, out, _ = run_cli(capsys, "paper-check")

@@ -4,6 +4,7 @@ from math import lcm
 
 import pytest
 
+from conesing.catalog import enumerate_catalog
 from conesing.cones import (
     ConeTriple,
     central_fiber_of_plt_blowup,
@@ -17,6 +18,8 @@ from conesing.cones import (
 )
 from conesing.divisors import INF, PointP1, QDivisorP1
 from conesing.errors import DomainError, NotACone, NotLogFano
+from conesing.groebner import Poly, family_polynomial
+from conesing.toric_an import enumerate_plt_blowups
 
 E8_TRIPLE = ConeTriple(QDivisorP1.parse("0:1/2,1:1/3,inf:-4/5"))
 
@@ -118,6 +121,18 @@ def test_central_fiber_rejects_bad_data():
         central_fiber_of_plt_blowup([2, 2, 2, 2], Fraction(1), 4)
     with pytest.raises(NotACone):
         central_fiber_of_plt_blowup([2], Fraction(-1), 2)
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: Poly(("x",), {(1, 2): 1}), "does not match"),
+    (lambda: family_polynomial(0, 1), "n must be >= 1"),
+    (lambda: enumerate_plt_blowups(3, 0), "height_bound must be >= 1"),
+    (lambda: central_fiber_of_plt_blowup([1], Fraction(1), 1), "must be >= 2"),
+    (lambda: enumerate_catalog(Fraction(1), 0), "isotropy bound must be >= 1"),
+], ids=["poly-exponent-length", "family-n", "plt-height-bound", "adjunction-q", "catalog-isotropy"])
+def test_library_refuses_out_of_range_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def _random_triple(rng: random.Random) -> ConeTriple | None:

@@ -57,35 +57,38 @@ def test_parser_accepts_whitespace_and_sign_runs(spaced, plain):
 
 
 # short ids: the inputs themselves would make 100000-character test names
-@pytest.mark.parametrize("bad", [
-    "x*" * 50_000 + "?",  # one term of 50000 factors, then a bad character
-    "x * " * 25_000 + "?",
-    "x" + " " * 99_998 + "y",
-    "1" * 99_999 + "x",
-    "x^" + "2" * 99_996 + " 3",
-    "+ - " * 25_000,
-    "x+" * 50_000 + "1/0",
-], ids=["factors", "spaced-factors", "spaces", "digits", "exponent", "signs", "zero-denominator"])
-def test_parser_refuses_long_garbage_in_bounded_time(bad):
+@pytest.mark.parametrize(("bad", "variables"), [
+    ("x*" * 50_000 + "?", None),  # one term of 50000 factors, then a bad character
+    ("x * " * 25_000 + "?", None),
+    ("x" + " " * 99_998 + "y", None),
+    ("1" * 99_999 + "x", None),
+    ("x^" + "2" * 99_996 + " 3", None),
+    ("+ - " * 25_000, None),
+    ("x+" * 50_000 + "1/0", None),
+    ("x" * 100_000 + "+y", ("y",)),
+], ids=["factors", "spaced-factors", "spaces", "digits", "exponent", "signs", "zero-denominator",
+        "unknown-variable"])
+def test_parser_refuses_long_garbage_in_bounded_time(bad, variables):
     # each token pattern backtracks at most linearly, never exponentially
     assert len(bad) >= 100_000
     start = time.perf_counter()
     with pytest.raises(ValueError) as info:
-        parse_polynomial(bad)
+        parse_polynomial(bad, variables)
     assert time.perf_counter() - start < 1.0
     # the message quotes a bounded window of the input, not all of it
     assert len(str(info.value)) < 200
 
 
-@pytest.mark.parametrize(("bad", "message"), [
-    ("2x+1", "cannot parse 'x+1' at offset 1"),
-    ("x^2 3", "cannot parse ' 3' at offset 3"),
-    ("x*" * 50_000 + "?", "cannot parse '?' at offset 100000"),
-    ("x^2+1/0*y", "zero denominator in '1/0*y' at offset 4"),
-], ids=["juxtaposed", "spaced-power", "factors", "zero-denominator"])
-def test_parser_error_names_where_reading_stopped(bad, message):
+@pytest.mark.parametrize(("bad", "variables", "message"), [
+    ("2x+1", None, "cannot parse 'x+1' at offset 1"),
+    ("x^2 3", None, "cannot parse ' 3' at offset 3"),
+    ("x*" * 50_000 + "?", None, "cannot parse '?' at offset 100000"),
+    ("x^2+1/0*y", None, "zero denominator in '1/0*y' at offset 4"),
+    ("y+z", ("y",), "unknown variable in 'z' at offset 2"),
+], ids=["juxtaposed", "spaced-power", "factors", "zero-denominator", "unknown-variable"])
+def test_parser_error_names_where_reading_stopped(bad, variables, message):
     with pytest.raises(ValueError) as info:
-        parse_polynomial(bad)
+        parse_polynomial(bad, variables)
     assert str(info.value) == message
 
 
