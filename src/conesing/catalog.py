@@ -152,24 +152,25 @@ def is_member(triple: ConeTriple, epsilon0: Fraction, n_isotropy: int) -> bool:
 class ConsistencyCheck:
     entry_index: int
     check: str
-    ok: bool
     detail: str
 
 
 @dataclass(frozen=True)
 class ConsistencyReport:
+    """The failed identities, in entry order; none for a consistent catalog."""
+
     checks: tuple[ConsistencyCheck, ...]
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return not self.checks
 
     def failures(self) -> list[ConsistencyCheck]:
-        return [c for c in self.checks if not c.ok]
+        return list(self.checks)
 
 
 def catalog_consistency_check(entries) -> ConsistencyReport:
-    """Re-check every entry against the structural identities:
+    """Re-check every entry, and report each structural identity it fails:
 
     (i)  max_isotropy, which the catalog takes from the residue shape,
          equals the Cartier index of the polarization (the lcm of the
@@ -182,30 +183,14 @@ def catalog_consistency_check(entries) -> ConsistencyReport:
     checks: list[ConsistencyCheck] = []
     for index, entry in enumerate(entries):
         cartier_index = entry.triple.polarization.cartier_index()
-        checks.append(
-            ConsistencyCheck(
-                index,
-                "isotropy-cartier-identity",
-                entry.max_isotropy == cartier_index,
-                f"max_isotropy = {entry.max_isotropy} vs Cartier index {cartier_index}",
-            )
-        )
+        if entry.max_isotropy != cartier_index:
+            detail = f"max_isotropy = {entry.max_isotropy} vs Cartier index {cartier_index}"
+            checks.append(ConsistencyCheck(index, "isotropy-cartier-identity", detail))
         angle = cones.fano_angle(entry.triple)
-        checks.append(
-            ConsistencyCheck(
-                index,
-                "vertex-discrepancy-identity",
-                angle == entry.fano_angle,
-                f"r = {entry.fano_angle} vs quotient pair {angle}",
-            )
-        )
-        angle_ok = entry.fano_angle <= 1 / entry.mld
-        checks.append(
-            ConsistencyCheck(
-                index,
-                "angle-bound",
-                angle_ok,
-                f"r = {entry.fano_angle} vs 1/mld = {1 / entry.mld}",
-            )
-        )
+        if angle != entry.fano_angle:
+            detail = f"r = {entry.fano_angle} vs quotient pair {angle}"
+            checks.append(ConsistencyCheck(index, "vertex-discrepancy-identity", detail))
+        if entry.fano_angle > 1 / entry.mld:
+            detail = f"r = {entry.fano_angle} vs 1/mld = {1 / entry.mld}"
+            checks.append(ConsistencyCheck(index, "angle-bound", detail))
     return ConsistencyReport(tuple(checks))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -26,18 +25,18 @@ from .errors import DomainError
 from .rationals import parse_rational
 
 
-def _rational_arg(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _argument(parse):
+    """An argparse type that reports parse's ValueError as the bare message."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def _divisor_arg(text: str) -> QDivisorP1:
-    try:
-        return QDivisorP1.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+_rational_arg = _argument(parse_rational)
+_divisor_arg = _argument(QDivisorP1.parse)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,11 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each subcommand builds one document, and each format is a view that reads
-# only that document.  The small documents (mld, the cone records, tjurina,
-# paper-check) are dicts that --format json prints through _json_text.  The
-# resolve, enumerate and an-blowups documents are the values computed:
-# resolve's is the graph with its discrepancy report, enumerate's is
+# Each subcommand builds one document of the values computed, and each format
+# is a view that reads only that document and renders them.  The small
+# documents (mld, the cone records, tjurina, paper-check) are dicts that
+# --format json prints through _json_text, a Fraction as its str.  resolve's
+# document is the graph with its discrepancy report, enumerate's is
 # (epsilon0, N, entries), and an-blowups' is the tuple of records
 # enumerate_plt_blowups returns.  Every view of them, json included, lays out
 # its rows in this module straight from those values.  main writes the json
@@ -70,9 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cone_document(triple: ConeTriple) -> dict:
     return {
-        "degree": str(triple.polarization.degree()),
-        "fano_angle": str(cones.fano_angle(triple)),
-        "vertex_log_discrepancy": str(cones.vertex_log_discrepancy(triple)),
+        "degree": triple.polarization.degree(),
+        "fano_angle": cones.fano_angle(triple),
+        "vertex_log_discrepancy": cones.vertex_log_discrepancy(triple),
         "cartier_index": triple.polarization.cartier_index(),
         "max_isotropy": cones.max_isotropy(triple),
     }
@@ -107,7 +106,7 @@ def _resolve(args: argparse.Namespace) -> tuple:
 
 def _mld(args: argparse.Namespace) -> dict:
     _, report = _solve(args.divisor.normalize_seifert())
-    return {"mld": str(report.mld)}
+    return {"mld": report.mld}
 
 
 def _enumerate(args: argparse.Namespace) -> tuple:
@@ -329,7 +328,7 @@ def _paper_check_text(document: dict) -> str:
 _DIVISOR = {"--divisor": dict(type=_divisor_arg, required=True)}
 _COMMANDS = {
     "mld": ("minimal log discrepancy of the cone over a divisor", _DIVISOR,
-            _mld, {"text": lambda document: _text([document["mld"]])}),
+            _mld, {"text": lambda document: _text([str(document["mld"])])}),
     "resolve": ("star-shaped resolution graph with log discrepancies", _DIVISOR,
                 _resolve, {"text": _resolve_text, "json": _resolve_json, "dot": _dot_text}),
     "fano-angle": ("Fano angle and vertex data of the cone", _DIVISOR,
@@ -365,7 +364,7 @@ _COMMANDS = {
 
 
 def _json_text(document) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return json.dumps(document, indent=2, sort_keys=True, default=str) + "\n"
 
 
 def _text(lines: list[str]) -> str:
@@ -375,7 +374,7 @@ def _text(lines: list[str]) -> str:
 # Options whose value may begin with "-": a divisor with a negative point, a
 # polynomial with a negative leading term, a negative parameter.  argparse
 # reads such a token as an unknown option unless it is attached with "=".
-_SIGNED_VALUE_OPTIONS = frozenset({"--divisor", "--poly", "--t"})
+_SIGNED_VALUE_OPTIONS = frozenset({"--divisor", "--poly", "--t", "--epsilon0"})
 
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
@@ -409,29 +408,30 @@ def main(argv=None) -> int:
         args = parser.parse_args(
             _attach_signed_values(sys.argv[1:] if argv is None else argv)
         )
+        _, _, build, views = _COMMANDS[args.subcommand]
+        document = build(args)
     except SystemExit as exc:  # usage errors and --help: return, never raise
         return exc.code
-    _, _, build, views = _COMMANDS[args.subcommand]
-    try:
-        document = build(args)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except DomainError as exc:  # from a builder, or from parse_args for a too-long literal
         return _error(exc.kind, exc, 1)
     except RuntimeError as exc:  # a failed internal self-check
         return _error("INTERNAL", exc, 3)
     except OSError as exc:  # enumerate --dot could not be written
         return _error("IO_ERROR", exc, 1)
-    text = views.get(args.format, _json_text)(document)
     json_path = getattr(args, "json_path", None)  # enumerate --json
     try:
+        text = views.get(args.format, _json_text)(document)
         if json_path is not None:
             json_path.write_text(text if args.format == "json" else views["json"](document))
         if args.out is not None:
             args.out.write_text(text)
         else:
             sys.stdout.write(text)
+    except ValueError as exc:  # a number in the answer too long to print
+        return _error("DOMAIN_ERROR", exc, 1)
     except OSError as exc:
         return _error("IO_ERROR", exc, 1)
     # A document that carries a verdict (paper-check) exits 1 when it is false.

@@ -136,8 +136,6 @@ def central_fiber_of_plt_blowup(
                 f"adjunction denominator {q} does not divide the Cartier multiple {m}"
             )
     quotient = ConeTriple(QDivisorP1({INF: quotient_degree}))
-    if max_isotropy(quotient) != 1:
-        raise RuntimeError("quotient cone must have trivial isotropies")
     diff = QDivisorP1(
         {point: Fraction(q - 1, q) for point, q in zip(MARKED_POINTS, diff_qs)}
     )

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, NotIsolated
-from .rationals import parse_error
+from .rationals import digit_limit_error, parse_error
 
 Exponents = tuple[int, ...]
 
@@ -156,17 +156,21 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Poly:
             if after is None:
                 raise parse_error(text, factor.end() if factor else position)
             position = after.end()
-            numerator, denominator, name, power = factor.groups()
-            if numerator:
-                if denominator and int(denominator) == 0:
+            numerator, denominator, name, power = factor.groups("1")  # absent groups read "1"
+            try:
+                numerator, denominator, power = int(numerator), int(denominator), int(power)
+            except ValueError:
+                raise digit_limit_error(text, factor.start(), factor.end()) from None
+            if factor[1]:
+                if denominator == 0:
                     raise parse_error(text, factor.start(), "zero denominator in")
-                coeff *= Fraction(int(numerator), int(denominator or 1))
+                coeff *= Fraction(numerator, denominator)
             elif name not in index:
                 raise parse_error(text, factor.start(), "unknown variable in")
-            elif power and int(power) < 1:
+            elif power < 1:
                 raise ValueError("exponents must be positive integers")
             else:
-                exponents[index[name]] += int(power or 1)
+                exponents[index[name]] += power
             if not after[1]:
                 break
         key = tuple(exponents)
@@ -387,7 +391,7 @@ def quotient_dimension(basis: GroebnerBasis) -> int | float:
     or INFINITE when some variable has no pure power among the leading
     monomials.
 
-    The count scans the box below the smallest pure powers; a box of more
+    The count scans the box below the pure powers; a box of more
     than MAX_STANDARD_MONOMIALS monomials is refused with a DomainError
     before the scan.
     """
@@ -395,13 +399,12 @@ def quotient_dimension(basis: GroebnerBasis) -> int | float:
     nvars = len(basis.variables)
     if any(sum(lead) == 0 for lead in leads):
         return 0  # the ideal is the whole ring
+    # no lead of a reduced basis divides another: one pure power per variable
     caps = [None] * nvars
     for lead in leads:
         support = [i for i, e in enumerate(lead) if e]
         if len(support) == 1:
-            i = support[0]
-            if caps[i] is None or lead[i] < caps[i]:
-                caps[i] = lead[i]
+            caps[support[0]] = lead[support[0]]
     if any(cap is None for cap in caps):
         return INFINITE
     box = math.prod(caps)

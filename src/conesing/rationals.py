@@ -8,11 +8,12 @@ anywhere in this package.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .errors import SingularMatrixError
+from .errors import DomainError, SingularMatrixError
 
 # "p/q" or "p", optional sign, whitespace around.  Decimal literals are
 # rejected on purpose.  It always matches, so it tells where reading stopped.
@@ -25,6 +26,15 @@ def parse_error(text: str, offset: int, what: str = "cannot parse") -> ValueErro
     return ValueError(f"{what} {text[offset:offset + 20]!r} at offset {offset}")
 
 
+def digit_limit_error(text: str, start: int, end: int) -> DomainError:
+    """The refusal of a well-formed literal text[start:end] that int() cannot
+    read: some run of its digits is longer than the interpreter's limit."""
+    limit = sys.get_int_max_str_digits()
+    run = next(r for r in re.finditer(r"\d+", text[start:end]) if len(r[0]) > limit)
+    return DomainError(f"number too long at offset {start + run.start()}: "
+                       f"{len(run[0])} digits, above the limit of {limit}")
+
+
 def parse_rational(text: str, start: int = 0, end: int | None = None) -> Fraction:
     """Parse "p/q" or "p" (ASCII or U+2212 minus) into an exact rational:
     all of text, or text[start:end] with errors naming offsets in text."""
@@ -35,6 +45,8 @@ def parse_rational(text: str, start: int = 0, end: int | None = None) -> Fractio
         return Fraction(match[1].replace("−", "-"))
     except ZeroDivisionError:
         raise parse_error(text, match.start(1), "zero denominator in") from None
+    except ValueError:
+        raise digit_limit_error(text, match.start(1), match.end(1)) from None
 
 
 def hj_expand(alpha: int, beta: int) -> list[int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 
 from .divisors import SeifertData
 from .errors import DomainError, NotContractible
@@ -116,7 +116,9 @@ def discrepancies(graph: DualGraph) -> DiscrepancyReport:
 
     Everything is integer arithmetic: deg and the numerator of a_0 are taken
     over A = lcm alpha, each chain runs over alpha den(a_0), and the minimum
-    is tracked by cross-multiplying.  One Fraction is built per node.
+    is tracked by cross-multiplying.  One Fraction is built per node.  The
+    c's are integers, so every a_k of a chain lies in Z a_0 + Z a_1, and the
+    canonical index is the lcm of den(a_0) and each chain's den(a_1).
     """
     branches = []
     for chain in graph.chains:
@@ -134,18 +136,17 @@ def discrepancies(graph: DualGraph) -> DiscrepancyReport:
     log_discrepancies = [central]
     # the running minimum low_num / low_den, low_den > 0, and its node
     low_num, low_den, low = numerator, base, 0
-    denominators = {base}
+    canonical_index = base
     for chain, (alpha, beta) in zip(graph.chains, branches):
         # numerators over the common denominator of a_0 and a_1
         denominator = alpha * base
         previous = alpha * numerator
         current = beta * numerator + base
+        canonical_index = lcm(canonical_index, denominator // gcd(current, denominator))
         for c in chain:
-            value = Fraction(current, denominator)
             if current * low_den < low_num * denominator:
                 low_num, low_den, low = current, denominator, len(log_discrepancies)
-            denominators.add(value.denominator)
-            log_discrepancies.append(value)
+            log_discrepancies.append(Fraction(current, denominator))
             previous, current = current, c * current - previous
         if current != denominator:
             raise RuntimeError("exact solve verification failed")
@@ -153,5 +154,5 @@ def discrepancies(graph: DualGraph) -> DiscrepancyReport:
         log_discrepancies=tuple(log_discrepancies),
         mld=log_discrepancies[low],
         is_klt=low_num > 0,
-        canonical_index=lcm(*denominators),
+        canonical_index=canonical_index,
     )

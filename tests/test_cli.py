@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -105,6 +106,79 @@ def test_long_refused_input_is_a_short_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert len(err.encode()) < 1024
+
+
+# Three coefficients (p - 1)/p with distinct 1500-digit p: each literal is
+# short enough to read, but the answer's denominators multiply to about 4500
+# digits, above the interpreter's default limit of 4300 for printing an int.
+# LONG is a literal above that limit for reading one.
+WIDE_DENOMINATORS = tuple(10**1499 + k for k in (7, 9, 13))
+WIDE = ",".join(f"{point}:{p - 1}/{p}" for point, p in zip(("0", "1", "inf"), WIDE_DENOMINATORS))
+LONG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--divisor", WIDE],
+    ["mld", "--divisor", WIDE],
+    ["mld", "--divisor", f"inf:1/{LONG}"],
+    ["enumerate", "--epsilon0", f"1/{LONG}", "--isotropy", "2"],
+    ["veronese", "--divisor", "inf:1" + "0" * 1500, "--m", "1" + "0" * 3000],
+    ["tjurina", "--poly", f"x^2+y^2+{LONG}*z^2"],
+], ids=["resolve-wide", "mld-wide", "mld-long", "epsilon0-long", "veronese-wide", "poly-long"])
+def test_numbers_too_long_for_int_are_a_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "DOMAIN_ERROR"
+
+
+def test_too_long_literal_names_its_offset_digits_and_limit(capsys):
+    code, _, err = run_cli(capsys, "mld", "--divisor", f"inf:1/{LONG}")
+    assert code == 1
+    assert json.loads(err) == {
+        "error": "DOMAIN_ERROR",
+        "message": "number too long at offset 6: 5001 digits, "
+                   f"above the limit of {sys.get_int_max_str_digits()}",
+    }
+
+
+def test_epsilon0_takes_a_leading_minus_like_t(capsys):
+    spaced = run_cli(capsys, "enumerate", "--epsilon0", "-1/2", "--isotropy", "2")
+    attached = run_cli(capsys, "enumerate", "--epsilon0=-1/2", "--isotropy", "2")
+    message = "usage error: epsilon0 must be positive (the search window is unbounded otherwise)\n"
+    assert spaced == attached == (2, "", message)
+
+
+@st.composite
+def cone_requests(draw):
+    """argv for a subcommand that reads one divisor: small coefficients, or
+    one of the WIDE coefficients, or a literal above the digit limit."""
+    command = draw(st.sampled_from(
+        ["mld", "resolve", "fano-angle", "isotropy", "veronese", "degenerate"]
+    ))
+    coefficients = st.one_of(
+        st.builds("{}/{}".format, st.integers(-6, 12), st.integers(1, 12)),
+        st.sampled_from([f"{p - 1}/{p}" for p in WIDE_DENOMINATORS] + [LONG, f"1/{LONG}"]),
+    )
+    points = draw(st.lists(
+        st.sampled_from(["0", "1", "inf", "-1", "2"]), min_size=1, max_size=4, unique=True
+    ))
+    divisor = ",".join(f"{point}:{draw(coefficients)}" for point in points)
+    formats = ["text", "json", "dot"] if command == "resolve" else ["text", "json"]
+    argv = [command, "--divisor", divisor, "--format", draw(st.sampled_from(formats))]
+    if command == "veronese" or command == "degenerate" and draw(st.booleans()):
+        argv += ["--m", str(draw(st.integers(-1, 6)))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(cone_requests())
+@example(["resolve", "--divisor", WIDE, "--format", "text"])
+def test_main_exits_with_a_code_and_prints_nothing_on_failure(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert type(code) is int and code in {0, 1, 2, 3}
+    assert code == 0 or out.getvalue() == ""
 
 
 def test_refused_polynomial_names_where_reading_stopped(capsys):
