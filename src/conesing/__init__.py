@@ -7,6 +7,7 @@ plt blow-ups, Tjurina numbers) is computed exactly over the rationals.
 
 from .catalog import (
     CatalogEntry,
+    CatalogRow,
     catalog_consistency_check,
     enumerate_catalog,
     is_member,

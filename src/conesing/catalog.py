@@ -15,24 +15,26 @@ and the mld is at most 1/r, so with T = N deg D the candidates of a klt
 shape are exactly the m with 0 < T <= room N / (epsilon0 isotropy): the
 lower end is ampleness, the upper end is 1/r >= epsilon0.  Every candidate
 walked is one integer solve of the shape's graph, whose chains are expanded
-once per shape; divisor and cone objects are built only for the entries
-kept.  The walk is refused with a DomainError above MAX_CANDIDATES
-solves, counted before the first.
+once per branch (q, beta) and call.  The walk is refused with a DomainError
+above MAX_CANDIDATES solves, counted before the first.
 
-The module computes and renders nothing: the text and JSON views of a
-catalog are laid out by the CLI straight from its CatalogEntry values.
+The walk builds no divisor, cone or entry objects: each entry kept is a
+CatalogRow of the divisor's text, written from the residues, and the values
+the views print.  The module renders nothing: the CLI lays out the text and
+JSON views of a catalog straight from its rows, and CatalogRow.entry()
+builds a row's CatalogEntry for library callers.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from typing import NamedTuple
 
 from . import cones, resolution
 from .cones import ConeTriple
-from .divisors import INF, ONE, ZERO, QDivisorP1, SeifertData
-from .errors import DomainError
+from .divisors import QDivisorP1, SeifertData
+from .errors import DomainError, number_text
 from .rationals import hj_expand
 
 # Most graph solves enumerate_catalog makes for one (epsilon0, N); above it
@@ -51,6 +53,21 @@ class CatalogEntry:
     fano_angle: Fraction
     max_isotropy: int
     canonical_index: int
+
+
+class CatalogRow(NamedTuple):
+    """One entry of enumerate_catalog: the fields of its CatalogEntry, the
+    polarization given by its canonical form's text, str(polarization)."""
+
+    divisor: str
+    seifert: SeifertData
+    mld: Fraction
+    fano_angle: Fraction
+    max_isotropy: int
+    canonical_index: int
+
+    def entry(self) -> CatalogEntry:
+        return CatalogEntry(ConeTriple(QDivisorP1.parse(self.divisor)), *self[1:])
 
 
 def integer_parts(
@@ -86,13 +103,14 @@ def _refuse_above_cap(epsilon0: Fraction, n_isotropy: int, count: int, what: str
     if count > MAX_CANDIDATES:
         raise DomainError(
             f"(epsilon0, N) = ({epsilon0}, {n_isotropy}) needs "
-            f"{count} {what}, above the cap of {MAX_CANDIDATES}"
+            f"{number_text(count)} {what}, above the cap of {MAX_CANDIDATES}"
         )
 
 
-def enumerate_catalog(epsilon0: Fraction, n_isotropy: int) -> tuple[CatalogEntry, ...]:
+def enumerate_catalog(epsilon0: Fraction, n_isotropy: int) -> tuple[CatalogRow, ...]:
     """All cone surface singularities with mld >= epsilon0 and isotropies
-    at most N, one entry per isomorphism class, sorted by (degree, mld).
+    at most N, one row per isomorphism class, sorted by degree, then mld,
+    then divisor text.
 
     Raises DomainError, before the first solve, when the walk would visit
     more than MAX_CANDIDATES residue shapes or make more than MAX_CANDIDATES
@@ -110,31 +128,33 @@ def enumerate_catalog(epsilon0: Fraction, n_isotropy: int) -> tuple[CatalogEntry
     walk = list(_klt_shapes(epsilon0, n_isotropy))
     _refuse_above_cap(epsilon0, n_isotropy, sum(len(parts) for *_, parts in walk), "graph solves")
 
-    found: list[tuple[tuple, CatalogEntry]] = []
+    expansions: dict[tuple[int, int], tuple[int, ...]] = {}
+    found: list[tuple[int, Fraction, CatalogRow]] = []
     for (r0, r1, r2), branches, isotropy, parts in walk:
-        chains = tuple(tuple(hj_expand(q, beta)) for q, beta in branches)
-        fixed = {point: Fraction(r, n_isotropy) for point, r in ((ZERO, r0), (ONE, r1)) if r}
-        terms = [f"{point}:{c}" for point, c in fixed.items()]
+        for branch in branches:
+            if branch not in expansions:
+                expansions[branch] = tuple(hj_expand(*branch))
+        chains = tuple(expansions[branch] for branch in branches)
+        # str(polarization), written from the residues: the fractional parts
+        # at 0 and 1, then the coefficient at infinity when it is not 0
+        fixed = ",".join(
+            f"{point}:{Fraction(r, n_isotropy)}" for point, r in (("0", r0), ("1", r1)) if r
+        )
+        head = fixed + "," if fixed else ""
         for m in parts:
-            report = resolution.discrepancies(resolution.DualGraph(len(branches) + m, chains))
+            b = len(branches) + m
+            report = resolution.discrepancies(resolution.DualGraph(b, chains))
             if report.mld < epsilon0:
                 continue
-            top = Fraction(r2 + n_isotropy * m, n_isotropy)
-            polarization = QDivisorP1({**fixed, INF: top})
-            entry = CatalogEntry(
-                triple=ConeTriple(polarization),
-                seifert=SeifertData(len(branches) + m, branches),
-                mld=report.mld,
-                fano_angle=1 / report.log_discrepancies[0],
-                max_isotropy=isotropy,
-                canonical_index=report.canonical_index,
-            )
-            # T = N deg D orders by degree, N being fixed; then mld, then
-            # str(polarization) written from the residues
-            text = ",".join(terms + [f"inf:{top}"] if top else terms)
-            found.append(((r0 + r1 + r2 + n_isotropy * m, report.mld, text), entry))
-    found.sort(key=itemgetter(0))
-    return tuple(entry for _, entry in found)
+            top = r2 + n_isotropy * m
+            text = f"{head}inf:{Fraction(top, n_isotropy)}" if top else fixed
+            row = CatalogRow(text, SeifertData(b, branches), report.mld,
+                             1 / report.log_discrepancies[0], isotropy, report.canonical_index)
+            # T = N deg D orders by degree, N being fixed; rows with the same
+            # T and mld order by their text, the first field of a row
+            found.append((r0 + r1 + r2 + n_isotropy * m, report.mld, row))
+    found.sort()
+    return tuple(row for _, _, row in found)
 
 
 def is_member(triple: ConeTriple, epsilon0: Fraction, n_isotropy: int) -> bool:

@@ -117,7 +117,7 @@ def check_catalogs() -> list[dict]:
         (Fraction(1, 2), 2),
     ]:
         label = f"catalog-{epsilon0}-{n_isotropy}"
-        entries = catalog.enumerate_catalog(epsilon0, n_isotropy)
+        entries = [row.entry() for row in catalog.enumerate_catalog(epsilon0, n_isotropy)]
         if (epsilon0, n_isotropy) in expected_sizes:
             results.append(
                 _compare(f"{label}-size", expected_sizes[(epsilon0, n_isotropy)],

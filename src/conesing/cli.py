@@ -22,7 +22,7 @@ from . import catalog, checks, cones, groebner, resolution, toric_an
 from .cones import ConeTriple
 from .divisors import QDivisorP1, SeifertData
 from .errors import DomainError
-from .rationals import parse_rational
+from .rationals import parse_integer, parse_rational
 
 
 def _argument(parse):
@@ -35,6 +35,7 @@ def _argument(parse):
     return convert
 
 
+_integer_arg = _argument(parse_integer)
 _rational_arg = _argument(parse_rational)
 _divisor_arg = _argument(QDivisorP1.parse)
 
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 # documents (mld, the cone records, tjurina, paper-check) are dicts that
 # --format json prints through _json_text, a Fraction as its str.  resolve's
 # document is the graph with its discrepancy report, enumerate's is
-# (epsilon0, N, entries), and an-blowups' is the tuple of records
+# (epsilon0, N, the CatalogRow tuple), and an-blowups' is the tuple of records
 # enumerate_plt_blowups returns.  Every view of them, json included, lays out
 # its rows in this module straight from those values.  main writes the json
 # view of enumerate --json to its file before stdout, laid out once when
@@ -110,14 +111,13 @@ def _mld(args: argparse.Namespace) -> dict:
 
 
 def _enumerate(args: argparse.Namespace) -> tuple:
-    entries = catalog.enumerate_catalog(args.epsilon0, args.isotropy)
-    document = (args.epsilon0, args.isotropy, entries)
+    rows = catalog.enumerate_catalog(args.epsilon0, args.isotropy)
     if args.dot_dir is not None:
         args.dot_dir.mkdir(parents=True, exist_ok=True)
-        for index, entry in enumerate(entries):
+        for index, row in enumerate(rows):
             path = args.dot_dir / f"entry_{index:03d}.dot"
-            path.write_text(_dot_text(_solve(entry.seifert)))
-    return document
+            path.write_text(_dot_text(_solve(row.seifert)))
+    return args.epsilon0, args.isotropy, rows
 
 
 def _an_blowups(args: argparse.Namespace) -> tuple:
@@ -136,12 +136,14 @@ def _reciprocal(d: int) -> str:
 
 
 def _tjurina(args: argparse.Namespace) -> dict:
+    # options argparse cannot check alone: ArgumentError, which no library
+    # call raises, so main reports it as the user's mistake by its type
     if (args.poly is None) == (args.family_n is None):
-        raise ValueError("tjurina needs exactly one of --poly or --family-n")
+        raise argparse.ArgumentError(None, "tjurina needs exactly one of --poly or --family-n")
     if args.family_n is not None:
         return {"tjurina": groebner.tjurina_family(args.family_n, 1 if args.t is None else args.t)}
     if args.t is not None:
-        raise ValueError("--t is a parameter of --family-n, not of --poly")
+        raise argparse.ArgumentError(None, "--t is a parameter of --family-n, not of --poly")
     return {"tjurina": groebner.tjurina(groebner.parse_polynomial(args.poly))}
 
 
@@ -177,12 +179,12 @@ def _dot_text(document: tuple) -> str:
 
 
 def _enumerate_text(document: tuple) -> str:
-    _, _, entries = document
+    _, _, rows = document
     return _text([
-        f"{e.triple.polarization}  mld={e.mld}  r={e.fano_angle}"
-        f"  isotropy={e.max_isotropy}  index={e.canonical_index}"
-        for e in entries
-    ] + [f"{len(entries)} entries"])
+        f"{row.divisor}  mld={row.mld}  r={row.fano_angle}"
+        f"  isotropy={row.max_isotropy}  index={row.canonical_index}"
+        for row in rows
+    ] + [f"{len(rows)} entries"])
 
 
 # The an-blowups views print each record (x, y, b) as the ray, a = x, b, the
@@ -285,21 +287,21 @@ def _enumerate_json(document: tuple) -> str:
     """The json view of enumerate, and its --json file: the keys N, entries
     and epsilon0, each entry with canonical_index, divisor, fano_angle,
     max_isotropy, mld and seifert {b, branches}, laid out row by row."""
-    epsilon0, n_isotropy, entries = document
-    rows = _json_rows(
+    epsilon0, n_isotropy, rows = document
+    entries = _json_rows(
         _ENTRY_JSON % (
-            e.canonical_index,
-            e.triple.polarization,
-            e.fano_angle,
-            e.max_isotropy,
-            e.mld,
-            e.seifert.b,
-            _json_rows((_BRANCH_JSON % branch for branch in e.seifert.branches), 8),
+            row.canonical_index,
+            row.divisor,
+            row.fano_angle,
+            row.max_isotropy,
+            row.mld,
+            row.seifert.b,
+            _json_rows((_BRANCH_JSON % branch for branch in row.seifert.branches), 8),
         )
-        for e in entries
+        for row in rows
     )
     return (
-        f'{{\n  "N": {n_isotropy},\n  "entries": {rows},\n'
+        f'{{\n  "N": {n_isotropy},\n  "entries": {entries},\n'
         f'  "epsilon0": "{epsilon0}"\n}}\n'
     )
 
@@ -335,27 +337,27 @@ _COMMANDS = {
                    _cone, {"text": _record_text}),
     "isotropy": ("isotropy data of the cone", _DIVISOR, _cone, {"text": _record_text}),
     "veronese": ("cyclic-quotient (Veronese) transform of the cone",
-                 {**_DIVISOR, "--m": dict(type=int, required=True)},
+                 {**_DIVISOR, "--m": dict(type=_integer_arg, required=True)},
                  _veronese, {"text": _record_text}),
     "degenerate": ("central fiber of the vertex plt blow-up degeneration",
                    {**_DIVISOR, "--m": dict(
-                       type=int, help="Cartier multiple (default: the Cartier index)")},
+                       type=_integer_arg, help="Cartier multiple (default: the Cartier index)")},
                    _degenerate, {"text": _record_text}),
     "enumerate": ("finite catalog of cones for (epsilon0, N)", {
         "--epsilon0": dict(type=_rational_arg, required=True),
-        "--isotropy": dict(type=int, required=True),
+        "--isotropy": dict(type=_integer_arg, required=True),
         "--json": dict(type=Path, dest="json_path",
                        help="also write the catalog JSON to this path"),
         "--dot": dict(type=Path, dest="dot_dir",
                       help="write one resolution DOT file per entry into this directory"),
     }, _enumerate, {"text": _enumerate_text, "json": _enumerate_json}),
     "an-blowups": ("toric plt blow-ups of the A_n singularity", {
-        "--n": dict(type=int, required=True),
-        "--bound": dict(type=int, help="ray height bound (default 4n)"),
+        "--n": dict(type=_integer_arg, required=True),
+        "--bound": dict(type=_integer_arg, help="ray height bound (default 4n)"),
     }, _an_blowups, {"text": _an_blowups_text, "json": _an_blowups_json}),
     "tjurina": ("Tjurina number of an isolated hypersurface singularity", {
         "--poly": dict(type=str),
-        "--family-n": dict(type=int),
+        "--family-n": dict(type=_integer_arg),
         "--t": dict(type=_rational_arg, help="family parameter, with --family-n only (default 1)"),
     }, _tjurina, {"text": lambda document: _text([str(document["tjurina"])])}),
     "paper-check": ("run the built-in regression suite", {},
@@ -412,7 +414,9 @@ def main(argv=None) -> int:
         document = build(args)
     except SystemExit as exc:  # usage errors and --help: return, never raise
         return exc.code
-    except ValueError as exc:
+    # a builder's check of its options, or the library's refusal of a value
+    # out of its range; a domain error's message never raises ValueError
+    except (argparse.ArgumentError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:  # from a builder, or from parse_args for a too-long literal

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .divisors import INF, MARKED_POINTS, PointP1, QDivisorP1
-from .errors import DomainError, NotACone, NotLogFano
+from .errors import DomainError, NotACone, NotLogFano, number_text
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,7 +28,7 @@ class ConeTriple:
     def __post_init__(self):
         if self.polarization.degree() <= 0:
             raise NotACone(
-                f"polarization degree {self.polarization.degree()} <= 0"
+                f"polarization degree {number_text(self.polarization.degree())} <= 0"
             )
 
 
@@ -38,7 +38,7 @@ def log_fano_quotient(triple: ConeTriple) -> QDivisorP1:
     coefficient 1 - 1/q is below 1, so the pair is klt on the curve."""
     delta = triple.polarization.boundary_delta()
     if delta.degree() >= 2:
-        raise NotLogFano(f"deg delta = {delta.degree()} >= 2")
+        raise NotLogFano(f"deg delta = {number_text(delta.degree())} >= 2")
     return delta
 
 
@@ -123,17 +123,18 @@ def central_fiber_of_plt_blowup(
         raise ValueError("adjunction denominators must be >= 2")
     if minus_e_degree <= 0:
         raise NotACone(
-            f"exceptional polarization degree {minus_e_degree} <= 0"
+            f"exceptional polarization degree {number_text(minus_e_degree)} <= 0"
         )
     quotient_degree = m * minus_e_degree
     if quotient_degree.denominator != 1:
         raise NotACone(
-            f"{m} * {minus_e_degree} is not integral"
+            f"{number_text(m)} * {number_text(minus_e_degree)} is not integral"
         )
     for q in diff_qs:
         if m % q != 0:
             raise NotACone(
-                f"adjunction denominator {q} does not divide the Cartier multiple {m}"
+                f"adjunction denominator {number_text(q)} does not divide "
+                f"the Cartier multiple {number_text(m)}"
             )
     quotient = ConeTriple(QDivisorP1({INF: quotient_degree}))
     diff = QDivisorP1(

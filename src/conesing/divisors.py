@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping
 
-from .errors import NotACone
+from .errors import NotACone, number_text
 from .rationals import parse_error, parse_rational
 
 
@@ -153,7 +153,7 @@ class QDivisorP1:
         """
         deg = self.degree()
         if deg <= 0:
-            raise NotACone(f"divisor degree {deg} <= 0")
+            raise NotACone(f"divisor degree {number_text(deg)} <= 0")
         b = sum(math.ceil(c) for _, c in self._terms)
         branches = tuple((q, q - p) for _, p, q in self.fractional_profile())
         data = SeifertData(b, branches)

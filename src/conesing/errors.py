@@ -44,3 +44,27 @@ class SingularMatrixError(DomainError):
         self.rank = rank
         self.size = size
         super().__init__(f"matrix is singular: rank {rank} < size {size}")
+
+
+def number_text(value) -> str:
+    """str(value) of an int or Fraction, for the message of an error.  A
+    numerator or denominator with more digits than the interpreter prints
+    is named by its digit count instead, as <4500 digits> or, for a
+    fraction, <4500/4498 digits>, so building the message cannot raise."""
+    try:
+        return str(value)
+    except ValueError:
+        counts = [_digits(value.numerator)]
+        if value.denominator != 1:
+            counts.append(_digits(value.denominator))
+        return f"<{'/'.join(map(str, counts))} digits>"
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of n != 0, without printing it."""
+    n = abs(n)
+    # 10**k <= n for this k, as 2**(bits - 1) <= n and log10(2) < 0.30103
+    k = (n.bit_length() - 1) * 30103 // 100000
+    while 10 ** k <= n:
+        k += 1
+    return k

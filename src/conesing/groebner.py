@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, NotIsolated
+from .errors import DomainError, NotIsolated, number_text
 from .rationals import digit_limit_error, parse_error
 
 Exponents = tuple[int, ...]
@@ -410,7 +410,7 @@ def quotient_dimension(basis: GroebnerBasis) -> int | float:
     box = math.prod(caps)
     if box > MAX_STANDARD_MONOMIALS:
         raise DomainError(
-            f"the standard monomials lie in a box of {box} monomials, "
+            f"the standard monomials lie in a box of {number_text(box)} monomials, "
             f"above the cap of {MAX_STANDARD_MONOMIALS}"
         )
     count = 0

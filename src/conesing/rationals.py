@@ -18,6 +18,7 @@ from .errors import DomainError, SingularMatrixError
 # "p/q" or "p", optional sign, whitespace around.  Decimal literals are
 # rejected on purpose.  It always matches, so it tells where reading stopped.
 _RATIONAL_RE = re.compile(r"\s*([+−-]?\d+(?:/\d+)?)?\s*")
+_INTEGER_RE = re.compile(r"\s*([+-]?\d+)?\s*")
 
 
 def parse_error(text: str, offset: int, what: str = "cannot parse") -> ValueError:
@@ -46,6 +47,19 @@ def parse_rational(text: str, start: int = 0, end: int | None = None) -> Fractio
     except ZeroDivisionError:
         raise parse_error(text, match.start(1), "zero denominator in") from None
     except ValueError:
+        raise digit_limit_error(text, match.start(1), match.end(1)) from None
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer literal as int() does; a refusal names the offset
+    where reading stopped, and a literal with more digits than the
+    interpreter reads is a DomainError."""
+    try:
+        return int(text)
+    except ValueError:
+        match = _INTEGER_RE.match(text)
+        if match[1] is None or match.end() < len(text):
+            raise parse_error(text, match.end()) from None
         raise digit_limit_error(text, match.start(1), match.end(1)) from None
 
 

@@ -20,7 +20,7 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from .divisors import SeifertData
-from .errors import DomainError, NotContractible
+from .errors import DomainError, NotContractible, number_text
 from .rationals import hj_expand, hj_length
 # Unused here; benchmarks/selftest/test_benchmark.py looks it up on this module.
 from .rationals import solve_linear  # noqa: F401
@@ -92,7 +92,7 @@ def build_graph(seifert: SeifertData) -> DualGraph:
     nodes = 1 + sum(hj_length(alpha, beta) for alpha, beta in seifert.branches)
     if nodes > MAX_GRAPH_NODES:
         raise DomainError(
-            f"resolution graph has {nodes} nodes, above the cap of {MAX_GRAPH_NODES}"
+            f"resolution graph has {number_text(nodes)} nodes, above the cap of {MAX_GRAPH_NODES}"
         )
     return DualGraph(
         seifert.b,

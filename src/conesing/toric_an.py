@@ -28,7 +28,7 @@ from itertools import compress, cycle, repeat
 from math import gcd
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, number_text
 
 # Most lattice points enumerate_plt_blowups visits for one (n, H); above it
 # the request is refused before the walk.  n = 1, H = 800 visits 800400.
@@ -85,7 +85,7 @@ def enumerate_plt_blowups(n: int, height_bound: int) -> tuple[PltBlowupRecord, .
     points = lattice_points_visited(n, height_bound)
     if points > MAX_LATTICE_POINTS:
         raise DomainError(
-            f"(n, bound) = ({n}, {height_bound}) visits {points} lattice points, "
+            f"(n, bound) = ({n}, {height_bound}) visits {number_text(points)} lattice points, "
             f"above the cap of {MAX_LATTICE_POINTS}"
         )
     m = n + 1

@@ -110,14 +110,14 @@ def test_criterion_4_catalog_finiteness_and_completeness():
                 f"catalog({epsilon0},{n_isotropy}) has {len(entries)} entries"
             )
         swept = _brute_force_members(epsilon0, n_isotropy)
-        forms = {entry.triple.polarization for entry in entries}
+        forms = {row.entry().triple.polarization for row in entries}
         if swept != forms:
             failures.append(
                 f"brute force disagrees for ({epsilon0},{n_isotropy}): "
                 f"{sorted(map(str, swept ^ forms))}"
             )
     for epsilon0, n_isotropy in [(Fraction(1), 2), (Fraction(1, 2), 2)]:
-        entries = catalog.enumerate_catalog(epsilon0, n_isotropy)
+        entries = [row.entry() for row in catalog.enumerate_catalog(epsilon0, n_isotropy)]
         consistency = catalog.catalog_consistency_check(entries)
         if not consistency.ok:
             failures.append(
@@ -222,7 +222,8 @@ def test_criterion_6_structural_invariants():
 def test_criterion_7_degeneration_identity():
     failures = []
     for epsilon0, n_isotropy in CATALOG_PAIRS:
-        for entry in catalog.enumerate_catalog(epsilon0, n_isotropy):
+        for row in catalog.enumerate_catalog(epsilon0, n_isotropy):
+            entry = row.entry()
             divisor = entry.triple.polarization
             m = divisor.cartier_index()
             qs = [q for _, _, q in divisor.fractional_profile()]

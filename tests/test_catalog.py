@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,8 +16,12 @@ from conesing.errors import DomainError
 from reference import catalog_by_objects
 
 
-def forms(entries) -> set[QDivisorP1]:
-    return {entry.triple.polarization for entry in entries}
+def forms(rows) -> set[QDivisorP1]:
+    return {row.entry().triple.polarization for row in rows}
+
+
+def entries_of(epsilon0, n) -> list[catalog.CatalogEntry]:
+    return [row.entry() for row in enumerate_catalog(epsilon0, n)]
 
 
 def test_enumerate_small_catalogs():
@@ -31,7 +36,7 @@ def test_enumerate_small_catalogs():
 
 
 def test_enumerate_smooth_entry_invariants():
-    entries = enumerate_catalog(Fraction(1), 1)
+    entries = entries_of(Fraction(1), 1)
     smooth = next(e for e in entries if e.triple.polarization.degree() == 1)
     assert smooth.mld == 2
     assert smooth.fano_angle == Fraction(1, 2)
@@ -61,12 +66,12 @@ def test_is_member_examples():
 
 def test_consistency_check_passes_on_fresh_catalogs():
     for epsilon0, n in [(Fraction(1), 1), (Fraction(1, 2), 2), (Fraction(1), 2)]:
-        report = catalog_consistency_check(enumerate_catalog(epsilon0, n))
+        report = catalog_consistency_check(entries_of(epsilon0, n))
         assert report.ok, report.failures()
 
 
 def test_consistency_check_flags_corrupted_entry():
-    entries = enumerate_catalog(Fraction(1, 2), 2)
+    entries = entries_of(Fraction(1, 2), 2)
     target = max(entries, key=lambda e: e.max_isotropy)
     corrupted = replace(target, fano_angle=target.fano_angle * 100)
     report = catalog_consistency_check([corrupted])
@@ -83,7 +88,7 @@ def test_consistency_check_flags_corrupted_entry():
 
 def test_consistency_check_flags_a_wrong_isotropy():
     # too small and too large: max_isotropy must be the Cartier index itself
-    entries = [e for e in enumerate_catalog(Fraction(1, 2), 4) if e.max_isotropy > 1]
+    entries = [e for e in entries_of(Fraction(1, 2), 4) if e.max_isotropy > 1]
     assert len(entries) == 15
     for entry in entries:
         for wrong in (1, 100 * entry.max_isotropy):
@@ -173,6 +178,34 @@ def test_catalog_walks_each_canonical_form_once(monkeypatch):
             assert any(d.coeff(ZERO) == d.coeff(ONE) != 0 for d in divisors)
 
 
+def test_walk_expands_each_branch_once(monkeypatch):
+    # (1/6, 6) solves 117 candidates over 5 distinct branches (q, beta)
+    true_expand = catalog.hj_expand
+    calls = []
+
+    def counting(alpha, beta):
+        calls.append((alpha, beta))
+        return true_expand(alpha, beta)
+
+    monkeypatch.setattr(catalog, "hj_expand", counting)
+    rows = enumerate_catalog(Fraction(1, 6), 6)
+    assert len(calls) == len(set(calls)) == 5
+    assert set(calls) == {branch for row in rows for branch in row.seifert.branches}
+
+
+def test_walk_holds_no_divisor_objects():
+    # 19501 rows of text, Seifert form and invariants; the entries with
+    # their divisor and cone objects held 14.8 MB (Python 3.11)
+    tracemalloc.start()
+    try:
+        rows = enumerate_catalog(Fraction(1, 1000), 6)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 19501
+    assert held < 11_000_000
+
+
 def _solves_planned(epsilon0, n) -> int:
     return sum(len(parts) for *_, parts in catalog._klt_shapes(epsilon0, n))
 
@@ -222,9 +255,7 @@ def test_integer_classifier_matches_divisor_objects(n):
     # floors of room N / (epsilon0 isotropy) with numerators other than 1
     others = [Fraction(2), Fraction(3, 2), Fraction(2, 3), Fraction(3, 7), Fraction(5, 11)]
     for epsilon0 in [Fraction(1, k) for k in range(1, n + 1)] + others:
-        assert _enumerate_json(
-            (epsilon0, n, enumerate_catalog(epsilon0, n))
-        ) == _enumerate_json((epsilon0, n, catalog_by_objects(epsilon0, n))), epsilon0
+        assert entries_of(epsilon0, n) == list(catalog_by_objects(epsilon0, n)), epsilon0
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -233,7 +264,7 @@ def test_catalog_json_text_is_the_json_document(n):
     # inf:1, negative coefficients at infinity, and an empty catalog
     others = [Fraction(2), Fraction(3, 2), Fraction(2, 3), Fraction(3, 7), Fraction(5, 11)]
     for epsilon0 in [Fraction(1, k) for k in range(1, n + 1)] + others:
-        for entries in (enumerate_catalog(epsilon0, n), ()):
+        for rows in (enumerate_catalog(epsilon0, n), ()):
             document = {
                 "epsilon0": str(epsilon0),
                 "N": n,
@@ -249,11 +280,11 @@ def test_catalog_json_text_is_the_json_document(n):
                         "max_isotropy": entry.max_isotropy,
                         "canonical_index": entry.canonical_index,
                     }
-                    for entry in entries
+                    for entry in map(catalog.CatalogRow.entry, rows)
                 ],
             }
             expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
-            assert _enumerate_json((epsilon0, n, entries)) == expected, epsilon0
+            assert _enumerate_json((epsilon0, n, rows)) == expected, epsilon0
 
 
 @pytest.mark.parametrize(
@@ -274,7 +305,7 @@ def test_vertex_bound_sharp_on_integral_entries():
     # integral polarization: trivial isotropies, so the delta-free quotient
     # is 1-lc and the vertex bound min(1, 1/r) applies; sharp for degree >= 2
     for epsilon0, n in [(Fraction(1, 2), 1), (Fraction(1, 2), 2)]:
-        for entry in enumerate_catalog(epsilon0, n):
+        for entry in entries_of(epsilon0, n):
             if entry.triple.polarization.fractional_profile():
                 continue
             bound = min(Fraction(1), 1 / entry.fano_angle)
@@ -293,7 +324,7 @@ def test_catalog_monotone_in_parameters():
 
 
 def test_entries_sorted_by_degree_then_mld():
-    entries = enumerate_catalog(Fraction(1, 2), 2)
+    entries = entries_of(Fraction(1, 2), 2)
     keys = [(e.triple.polarization.degree(), e.mld) for e in entries]
     assert keys == sorted(keys)
 

@@ -9,13 +9,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conesing import checks, cli, toric_an
+from conesing import catalog, checks, cli, toric_an
 from conesing.cli import (
     _an_blowups,
     _an_blowups_json,
@@ -131,6 +132,50 @@ def test_numbers_too_long_for_int_are_a_domain_error(capsys, argv):
     assert json.loads(err)["error"] == "DOMAIN_ERROR"
 
 
+@pytest.mark.parametrize("argv", [
+    ["veronese", "--divisor", "inf:1", "--m", LONG],
+    ["degenerate", "--divisor", "inf:1", "--m", LONG],
+    ["enumerate", "--epsilon0", "1", "--isotropy", LONG],
+    ["an-blowups", "--n", LONG],
+    ["an-blowups", "--n", "1", "--bound", LONG],
+    ["tjurina", "--family-n", LONG],
+], ids=["veronese-m", "degenerate-m", "isotropy", "n", "bound", "family-n"])
+def test_integer_options_above_the_digit_limit_are_short_domain_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "DOMAIN_ERROR",
+        "message": "number too long at offset 0: 5001 digits, "
+                   f"above the limit of {sys.get_int_max_str_digits()}",
+    }
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("value", ["1x", "x" * 5000], ids=["suffix", "long"])
+def test_malformed_integer_option_is_a_short_usage_error(capsys, value):
+    code, out, err = run_cli(capsys, "an-blowups", "--n", value)
+    assert (code, out) == (2, "")
+    stopped = re.match(r"\d*", value).end()
+    assert err.endswith(
+        f"argument --n: cannot parse {value[stopped:stopped + 20]!r} at offset {stopped}\n"
+    )
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize(("argv", "record"), [
+    (["fano-angle"], {"error": "NOT_LOG_FANO", "message": "deg delta = <4498/4498 digits> >= 2"}),
+    (["isotropy"], {"error": "NOT_LOG_FANO", "message": "deg delta = <4498/4498 digits> >= 2"}),
+    (["veronese", "--m", "2"],
+     {"error": "NOT_LOG_FANO", "message": "deg delta = <4498/4498 digits> >= 2"}),
+    (["degenerate", "--m", "2"],
+     {"error": "NOT_A_CONE", "message": "2 * <4498/4498 digits> is not integral"}),
+], ids=["fano-angle", "isotropy", "veronese", "degenerate"])
+def test_domain_error_names_a_number_too_long_to_print_by_its_digits(capsys, argv, record):
+    code, out, err = run_cli(capsys, *argv, "--divisor", WIDE)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == record
+
+
 def test_too_long_literal_names_its_offset_digits_and_limit(capsys):
     code, _, err = run_cli(capsys, "mld", "--divisor", f"inf:1/{LONG}")
     assert code == 1
@@ -148,37 +193,99 @@ def test_epsilon0_takes_a_leading_minus_like_t(capsys):
     assert spaced == attached == (2, "", message)
 
 
+# An integer option: a small value, in range or not, or the literal LONG.
+INTEGERS = st.one_of(st.integers(-1, 6), st.just(LONG))
+
+
 @st.composite
-def cone_requests(draw):
-    """argv for a subcommand that reads one divisor: small coefficients, or
-    one of the WIDE coefficients, or a literal above the digit limit."""
-    command = draw(st.sampled_from(
-        ["mld", "resolve", "fano-angle", "isotropy", "veronese", "degenerate"]
-    ))
-    coefficients = st.one_of(
-        st.builds("{}/{}".format, st.integers(-6, 12), st.integers(1, 12)),
-        st.sampled_from([f"{p - 1}/{p}" for p in WIDE_DENOMINATORS] + [LONG, f"1/{LONG}"]),
-    )
-    points = draw(st.lists(
-        st.sampled_from(["0", "1", "inf", "-1", "2"]), min_size=1, max_size=4, unique=True
-    ))
-    divisor = ",".join(f"{point}:{draw(coefficients)}" for point in points)
+def requests(draw):
+    """(argv, mistake) for any subcommand but paper-check, which takes no
+    input: small values, the WIDE coefficients, or literals above the digit
+    limit, with mistake true when some value is out of the range the
+    subcommand accepts or its options conflict.  Only such a request may be
+    a usage error."""
+    command = draw(st.sampled_from([
+        "mld", "resolve", "fano-angle", "isotropy", "veronese", "degenerate",
+        "enumerate", "an-blowups", "tjurina",
+    ]))
     formats = ["text", "json", "dot"] if command == "resolve" else ["text", "json"]
-    argv = [command, "--divisor", divisor, "--format", draw(st.sampled_from(formats))]
-    if command == "veronese" or command == "degenerate" and draw(st.booleans()):
-        argv += ["--m", str(draw(st.integers(-1, 6)))]
-    return argv
+    argv = [command, "--format", draw(st.sampled_from(formats))]
+    mistake = False
+
+    def integer(option, low, value=None):
+        nonlocal mistake
+        value = draw(INTEGERS) if value is None else value
+        argv.extend([option, str(value)])
+        mistake = mistake or value != LONG and value < low
+
+    if command == "enumerate":
+        epsilon0 = draw(st.sampled_from(
+            [Fraction(1, k) for k in range(1, 11)] + [Fraction(0), Fraction(-1, 2), Fraction(3)]
+        ))
+        mistake = not 0 < epsilon0 <= 2
+        argv += ["--epsilon0", draw(st.sampled_from([str(epsilon0), f"1/{LONG}"]))]
+        integer("--isotropy", 1)
+    elif command == "an-blowups":
+        integer("--n", 1)
+        if draw(st.booleans()):
+            integer("--bound", 1, draw(st.one_of(INTEGERS, st.integers(7, 30))))
+    elif command == "tjurina":
+        poly = draw(st.sampled_from([
+            None, "x^2+y^2+z^2", "x^2+y^3+z^7", "x*y+z^2", "x^2+y^2+z^3+z^2*w", "x-x",
+            f"x^2+y^2+{LONG}*z^2",
+        ]))
+        family = draw(st.one_of(st.none(), INTEGERS, st.integers(4, 8)))
+        t = draw(st.sampled_from([None, "1", "2/3", "0", "-1/2", f"1/{LONG}"]))
+        mistake = (poly is None) == (family is None) or poly == "x-x"
+        if poly is not None:
+            argv += ["--poly", poly]
+            mistake = mistake or t is not None
+        if family is not None:
+            integer("--family-n", 4, family)
+        if t is not None:
+            argv += ["--t", t]
+    else:
+        coefficients = st.one_of(
+            st.builds("{}/{}".format, st.integers(-6, 12), st.integers(1, 12)),
+            st.sampled_from([f"{p - 1}/{p}" for p in WIDE_DENOMINATORS] + [LONG, f"1/{LONG}"]),
+        )
+        points = draw(st.lists(
+            st.sampled_from(["0", "1", "inf", "-1", "2"]), min_size=1, max_size=4, unique=True
+        ))
+        argv += ["--divisor", ",".join(f"{point}:{draw(coefficients)}" for point in points)]
+        if command == "veronese" or command == "degenerate" and draw(st.booleans()):
+            integer("--m", 1)
+    return argv, mistake
 
 
-@settings(max_examples=60, deadline=None)
-@given(cone_requests())
-@example(["resolve", "--divisor", WIDE, "--format", "text"])
-def test_main_exits_with_a_code_and_prints_nothing_on_failure(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def _wide(*argv):
+    return [*argv, "--divisor", WIDE], False
+
+
+@settings(max_examples=200, deadline=None)
+@given(requests())
+@example(_wide("resolve", "--format", "text"))
+@example(_wide("fano-angle"))
+@example(_wide("isotropy"))
+@example(_wide("veronese", "--m", "2"))
+@example(_wide("degenerate", "--m", "2"))
+@example((["an-blowups", "--n", LONG], False))
+@example((["an-blowups", "--n", "1", "--bound", LONG], False))
+@example((["enumerate", "--epsilon0", "1", "--isotropy", LONG], False))
+@example((["tjurina", "--family-n", LONG], False))
+@example((["paper-check"], False))
+def test_main_exits_with_a_code_and_prints_nothing_on_failure(request):
+    # exit 1 and 3 write one JSON record, and exit 2 is the user's mistake:
+    # a request whose values are all in range never gets it
+    argv, mistake = request
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert type(code) is int and code in {0, 1, 2, 3}
     assert code == 0 or out.getvalue() == ""
+    if code in (1, 3) and argv[0] != "paper-check":
+        assert set(json.loads(err.getvalue())) == {"error", "message"}
+    assert code != 2 or mistake
 
 
 def test_refused_polynomial_names_where_reading_stopped(capsys):
@@ -299,6 +406,21 @@ def test_enumerate_json_catalog(capsys, tmp_path):
     assert document["entries"][1]["seifert"] == {"b": 2, "branches": []}
     assert out_path.read_text() == out
     assert sorted(p.name for p in dot_dir.iterdir()) == ["entry_000.dot", "entry_001.dot"]
+
+
+def test_enumerate_dot_files_are_the_resolve_dot_views(capsys, tmp_path):
+    rows = catalog.enumerate_catalog(Fraction(1, 2), 3)
+    code, _, _ = run_cli(capsys, "enumerate", "--epsilon0", "1/2", "--isotropy", "3",
+                         "--dot", str(tmp_path))
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"entry_{index:03d}.dot" for index in range(len(rows))
+    ]
+    for index, row in enumerate(rows):
+        # the divisor text is passed attached: it may begin with "-"
+        code, out, _ = run_cli(capsys, "resolve", f"--divisor={row.divisor}", "--format", "dot")
+        assert code == 0
+        assert (tmp_path / f"entry_{index:03d}.dot").read_text() == out
 
 
 def test_enumerate_json_file_is_the_json_view(capsys, tmp_path):

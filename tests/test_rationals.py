@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conesing.errors import SingularMatrixError
+from conesing.errors import DomainError, SingularMatrixError, number_text
 from conesing.rationals import (
     hj_expand,
     hj_length,
     is_negative_definite,
+    parse_integer,
     parse_rational,
     solve_linear,
 )
@@ -42,6 +44,46 @@ def test_parse_error_names_where_reading_stopped(bad, message):
     with pytest.raises(ValueError) as info:
         parse_rational(bad)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(("text", "value"), [
+    ("42", 42), (" -7 ", -7), ("+3", 3), ("1_000", 1000), ("-0012", -12),
+])
+def test_parse_integer_reads_what_int_reads(text, value):
+    assert parse_integer(text) == value
+
+
+@pytest.mark.parametrize(("bad", "message"), [
+    ("1x", "cannot parse 'x' at offset 1"),
+    ("", "cannot parse '' at offset 0"),
+    ("1/2", "cannot parse '/2' at offset 1"),
+    ("x" * 100_000, "cannot parse 'xxxxxxxxxxxxxxxxxxxx' at offset 0"),
+])
+def test_parse_integer_refusal_names_where_reading_stopped(bad, message):
+    with pytest.raises(ValueError) as info:
+        parse_integer(bad)
+    assert str(info.value) == message
+
+
+def test_parse_integer_above_the_digit_limit_is_a_domain_error():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(DomainError) as info:
+        parse_integer(" -1" + "0" * limit)
+    assert str(info.value) == (
+        f"number too long at offset 2: {limit + 1} digits, above the limit of {limit}"
+    )
+
+
+def test_number_text_counts_the_digits_it_cannot_print():
+    limit = sys.get_int_max_str_digits()
+    assert number_text(Fraction(-7, 3)) == "-7/3"
+    assert number_text(10**limit - 1) == "9" * limit
+    for k in range(limit, limit + 40):  # around each power of ten
+        assert number_text(10**k) == f"<{k + 1} digits>"
+        assert number_text(10**k - 1) == (f"<{k} digits>" if k > limit else "9" * k)
+        assert number_text(-(10**k)) == f"<{k + 1} digits>"
+    assert number_text(Fraction(1, 10**limit)) == f"<1/{limit + 1} digits>"
+    assert number_text(Fraction(10**limit + 1, 3)) == f"<{limit + 1}/1 digits>"
 
 
 def test_hj_expand_examples():
