@@ -34,7 +34,7 @@ from typing import NamedTuple
 from . import cones, resolution
 from .cones import ConeTriple
 from .divisors import QDivisorP1, SeifertData
-from .errors import DomainError, number_text
+from .errors import number_text, refuse_above
 from .rationals import hj_expand
 
 # Most graph solves enumerate_catalog makes for one (epsilon0, N); above it
@@ -99,14 +99,6 @@ def _klt_shapes(epsilon0: Fraction, n_isotropy: int):
                     yield (r0, r1, r2), tuple(branches), isotropy, parts
 
 
-def _refuse_above_cap(epsilon0: Fraction, n_isotropy: int, count: int, what: str) -> None:
-    if count > MAX_CANDIDATES:
-        raise DomainError(
-            f"(epsilon0, N) = ({epsilon0}, {n_isotropy}) needs "
-            f"{number_text(count)} {what}, above the cap of {MAX_CANDIDATES}"
-        )
-
-
 def enumerate_catalog(epsilon0: Fraction, n_isotropy: int) -> tuple[CatalogRow, ...]:
     """All cone surface singularities with mld >= epsilon0 and isotropies
     at most N, one row per isomorphism class, sorted by degree, then mld,
@@ -123,10 +115,13 @@ def enumerate_catalog(epsilon0: Fraction, n_isotropy: int) -> tuple[CatalogRow, 
         raise ValueError("epsilon0 must be <= 2 (no log discrepancy exceeds 2)")
     if n_isotropy < 1:
         raise ValueError("isotropy bound must be >= 1")
+    subject = f"(epsilon0, N) = ({number_text(epsilon0)}, {number_text(n_isotropy)}) needs"
     shapes = n_isotropy * (n_isotropy + 1) * (n_isotropy + 2) // 6
-    _refuse_above_cap(epsilon0, n_isotropy, shapes, "residue shapes")
+    refuse_above(shapes, MAX_CANDIDATES, subject, "residue shapes")
     walk = list(_klt_shapes(epsilon0, n_isotropy))
-    _refuse_above_cap(epsilon0, n_isotropy, sum(len(parts) for *_, parts in walk), "graph solves")
+    # a range's len() overflows past sys.maxsize; its bounds do not
+    solves = sum(max(0, parts.stop - parts.start) for *_, parts in walk)
+    refuse_above(solves, MAX_CANDIDATES, subject, "graph solves")
 
     expansions: dict[tuple[int, int], tuple[int, ...]] = {}
     found: list[tuple[int, Fraction, CatalogRow]] = []

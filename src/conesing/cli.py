@@ -69,12 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cone_document(triple: ConeTriple) -> dict:
+    angle = cones.fano_angle(triple)
+    index = cones.max_isotropy(triple)
     return {
         "degree": triple.polarization.degree(),
-        "fano_angle": cones.fano_angle(triple),
-        "vertex_log_discrepancy": cones.vertex_log_discrepancy(triple),
-        "cartier_index": triple.polarization.cartier_index(),
-        "max_isotropy": cones.max_isotropy(triple),
+        "fano_angle": angle,
+        "vertex_log_discrepancy": 1 / angle,
+        "cartier_index": index,
+        "max_isotropy": index,
     }
 
 

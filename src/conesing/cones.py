@@ -27,9 +27,7 @@ class ConeTriple:
 
     def __post_init__(self):
         if self.polarization.degree() <= 0:
-            raise NotACone(
-                f"polarization degree {number_text(self.polarization.degree())} <= 0"
-            )
+            raise NotACone(f"polarization degree {number_text(self.polarization.degree())} <= 0")
 
 
 def log_fano_quotient(triple: ConeTriple) -> QDivisorP1:
@@ -80,7 +78,7 @@ def max_isotropy(triple: ConeTriple) -> int:
 def veronese(triple: ConeTriple, m: int) -> ConeTriple:
     """Degree-m equivariant cyclic quotient, realized on triples as D -> mD."""
     if m < 1:
-        raise ValueError(f"veronese degree must be >= 1, got {m}")
+        raise ValueError(f"veronese degree must be >= 1, got {number_text(m)}")
     return ConeTriple(m * triple.polarization)
 
 
@@ -114,7 +112,7 @@ def central_fiber_of_plt_blowup(
     """
     minus_e_degree = Fraction(minus_e_degree)
     if m < 1:
-        raise ValueError(f"quotient degree must be >= 1, got {m}")
+        raise ValueError(f"quotient degree must be >= 1, got {number_text(m)}")
     if len(diff_qs) > 3:
         raise DomainError(
             f"at most 3 adjunction points supported on the line, got {len(diff_qs)}"
@@ -122,14 +120,10 @@ def central_fiber_of_plt_blowup(
     if any(q < 2 for q in diff_qs):
         raise ValueError("adjunction denominators must be >= 2")
     if minus_e_degree <= 0:
-        raise NotACone(
-            f"exceptional polarization degree {number_text(minus_e_degree)} <= 0"
-        )
+        raise NotACone(f"exceptional polarization degree {number_text(minus_e_degree)} <= 0")
     quotient_degree = m * minus_e_degree
     if quotient_degree.denominator != 1:
-        raise NotACone(
-            f"{number_text(m)} * {number_text(minus_e_degree)} is not integral"
-        )
+        raise NotACone(f"{number_text(m)} * {number_text(minus_e_degree)} is not integral")
     for q in diff_qs:
         if m % q != 0:
             raise NotACone(

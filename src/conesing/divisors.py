@@ -14,8 +14,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping
 
-from .errors import NotACone, number_text
-from .rationals import parse_error, parse_rational
+from .errors import NotACone, number_text, parse_error
+from .rationals import parse_rational
 
 
 @dataclass(frozen=True, order=True)
@@ -198,10 +198,9 @@ class SeifertData:
 
     def __post_init__(self):
         for alpha, beta in self.branches:
-            if not (0 < beta < alpha):
-                raise ValueError(f"branch ({alpha}, {beta}): need 0 < beta < alpha")
-            if math.gcd(alpha, beta) != 1:
-                raise ValueError(f"branch ({alpha}, {beta}): not coprime")
+            if not 0 < beta < alpha or math.gcd(alpha, beta) != 1:
+                raise ValueError(f"branch ({number_text(alpha)}, {number_text(beta)}): "
+                                 "need coprime 0 < beta < alpha")
 
     def degree(self) -> Fraction:
         return self.b - sum(

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, NotIsolated, number_text
-from .rationals import digit_limit_error, parse_error
+from .errors import NotIsolated, digit_limit_error, parse_error, refuse_above
 
 Exponents = tuple[int, ...]
 
@@ -407,12 +406,8 @@ def quotient_dimension(basis: GroebnerBasis) -> int | float:
             caps[support[0]] = lead[support[0]]
     if any(cap is None for cap in caps):
         return INFINITE
-    box = math.prod(caps)
-    if box > MAX_STANDARD_MONOMIALS:
-        raise DomainError(
-            f"the standard monomials lie in a box of {number_text(box)} monomials, "
-            f"above the cap of {MAX_STANDARD_MONOMIALS}"
-        )
+    refuse_above(math.prod(caps), MAX_STANDARD_MONOMIALS,
+                 "the standard monomials lie in a box of", "monomials")
     count = 0
     for exponents in itertools.product(*(range(cap) for cap in caps)):
         if not any(all(e >= l for e, l in zip(exponents, lead)) for lead in leads):

@@ -8,32 +8,16 @@ anywhere in this package.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .errors import DomainError, SingularMatrixError
+from .errors import SingularMatrixError, digit_limit_error, number_text, parse_error
 
 # "p/q" or "p", optional sign, whitespace around.  Decimal literals are
 # rejected on purpose.  It always matches, so it tells where reading stopped.
 _RATIONAL_RE = re.compile(r"\s*([+−-]?\d+(?:/\d+)?)?\s*")
 _INTEGER_RE = re.compile(r"\s*([+-]?\d+)?\s*")
-
-
-def parse_error(text: str, offset: int, what: str = "cannot parse") -> ValueError:
-    """The refusal of text where reading stopped: it names the offset and
-    quotes at most 20 characters from there, however long the text."""
-    return ValueError(f"{what} {text[offset:offset + 20]!r} at offset {offset}")
-
-
-def digit_limit_error(text: str, start: int, end: int) -> DomainError:
-    """The refusal of a well-formed literal text[start:end] that int() cannot
-    read: some run of its digits is longer than the interpreter's limit."""
-    limit = sys.get_int_max_str_digits()
-    run = next(r for r in re.finditer(r"\d+", text[start:end]) if len(r[0]) > limit)
-    return DomainError(f"number too long at offset {start + run.start()}: "
-                       f"{len(run[0])} digits, above the limit of {limit}")
 
 
 def parse_rational(text: str, start: int = 0, end: int | None = None) -> Fraction:
@@ -70,12 +54,10 @@ def hj_expand(alpha: int, beta: int) -> list[int]:
     alpha/beta = c_1 - 1/(c_2 - 1/(... - 1/c_s)), via the ceiling-division
     recursion c = ceil(alpha/beta), (alpha, beta) <- (beta, c*beta - alpha).
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError(f"need 0 < beta < alpha, got ({alpha}, {beta})")
-    if beta >= alpha:
-        raise ValueError(f"need beta < alpha, got ({alpha}, {beta})")
-    if gcd(alpha, beta) != 1:
-        raise ValueError(f"alpha and beta must be coprime, got ({alpha}, {beta})")
+    if not 0 < beta < alpha or gcd(alpha, beta) != 1:
+        raise ValueError(
+            f"need coprime 0 < beta < alpha, got ({number_text(alpha)}, {number_text(beta)})"
+        )
     expansion = []
     while beta:
         c = -(-alpha // beta)

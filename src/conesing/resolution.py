@@ -20,7 +20,7 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from .divisors import SeifertData
-from .errors import DomainError, NotContractible, number_text
+from .errors import NotContractible, number_text, refuse_above
 from .rationals import hj_expand, hj_length
 # Unused here; benchmarks/selftest/test_benchmark.py looks it up on this module.
 from .rationals import solve_linear  # noqa: F401
@@ -47,8 +47,11 @@ class DualGraph:
     central_index = 0
 
     def __post_init__(self):
-        if self.b < 1 or any(c < 2 for chain in self.chains for c in chain):
-            raise ValueError(f"need b >= 1 and every c >= 2, got {self.b}, {self.chains}")
+        if self.b < 1:
+            raise ValueError(f"need b >= 1, got {number_text(self.b)}")
+        if any(c < 2 for chain in self.chains for c in chain):
+            least = min(c for chain in self.chains for c in chain)
+            raise ValueError(f"need every c >= 2, got {number_text(least)}")
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -90,10 +93,7 @@ def build_graph(seifert: SeifertData) -> DualGraph:
     nodes, counted from the integers before any chain is expanded.
     """
     nodes = 1 + sum(hj_length(alpha, beta) for alpha, beta in seifert.branches)
-    if nodes > MAX_GRAPH_NODES:
-        raise DomainError(
-            f"resolution graph has {number_text(nodes)} nodes, above the cap of {MAX_GRAPH_NODES}"
-        )
+    refuse_above(nodes, MAX_GRAPH_NODES, "resolution graph has", "nodes")
     return DualGraph(
         seifert.b,
         tuple(tuple(hj_expand(alpha, beta)) for alpha, beta in seifert.branches),

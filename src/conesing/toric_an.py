@@ -28,7 +28,7 @@ from itertools import compress, cycle, repeat
 from math import gcd
 from typing import NamedTuple
 
-from .errors import DomainError, number_text
+from .errors import number_text, refuse_above
 
 # Most lattice points enumerate_plt_blowups visits for one (n, H); above it
 # the request is refused before the walk.  n = 1, H = 800 visits 800400.
@@ -82,12 +82,9 @@ def enumerate_plt_blowups(n: int, height_bound: int) -> tuple[PltBlowupRecord, .
         raise ValueError("n must be >= 1")
     if height_bound < 1:
         raise ValueError("height_bound must be >= 1")
-    points = lattice_points_visited(n, height_bound)
-    if points > MAX_LATTICE_POINTS:
-        raise DomainError(
-            f"(n, bound) = ({n}, {height_bound}) visits {number_text(points)} lattice points, "
-            f"above the cap of {MAX_LATTICE_POINTS}"
-        )
+    refuse_above(lattice_points_visited(n, height_bound), MAX_LATTICE_POINTS,
+                 f"(n, bound) = ({number_text(n)}, {number_text(height_bound)}) visits",
+                 "lattice points")
     m = n + 1
     # PltBlowupRecord(x, y, b), without a call of its Python-level __new__ per ray
     record = partial(tuple.__new__, PltBlowupRecord)

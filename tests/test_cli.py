@@ -176,6 +176,31 @@ def test_domain_error_names_a_number_too_long_to_print_by_its_digits(capsys, arg
     assert json.loads(err) == record
 
 
+SEVENS = "7" * 1500
+
+
+# Requests whose numbers are long but readable: each refusal names them by
+# their digit counts, so its record stays short.
+@pytest.mark.parametrize(("argv", "code", "kind"), [
+    (["an-blowups", "--n", "1" + "0" * 2000], 1, "DOMAIN_ERROR"),
+    (["enumerate", "--epsilon0", "2", "--isotropy", "1" + "0" * 2000], 1, "DOMAIN_ERROR"),
+    (["mld", "--divisor", "inf:1/1" + "0" * 4000], 1, "DOMAIN_ERROR"),
+    (["tjurina", "--poly", "x^1" + "0" * 4000 + "+y^2+z^2"], 1, "DOMAIN_ERROR"),
+    (["mld", "--divisor", f"0:1/{SEVENS},1:1/{SEVENS}1,inf:-6"], 1, "NOT_A_CONE"),
+    (["veronese", "--divisor", "inf:1", "--m", "-1" + "0" * 4000], 2, None),
+    (["enumerate", "--epsilon0", "1/1" + "0" * 19, "--isotropy", "1"], 1, "DOMAIN_ERROR"),
+], ids=["an-blowups-n", "enumerate-isotropy", "mld-nodes", "tjurina-box", "mld-degree",
+        "veronese-m", "enumerate-epsilon0"])
+def test_refusal_records_stay_short_however_long_the_numbers(capsys, argv, code, kind):
+    result, out, err = run_cli(capsys, *argv)
+    assert (result, out) == (code, "")
+    if kind is None:
+        assert err.startswith("usage error: ")
+    else:
+        assert json.loads(err)["error"] == kind
+    assert len(err.encode()) < 300
+
+
 def test_too_long_literal_names_its_offset_digits_and_limit(capsys):
     code, _, err = run_cli(capsys, "mld", "--divisor", f"inf:1/{LONG}")
     assert code == 1
@@ -195,6 +220,8 @@ def test_epsilon0_takes_a_leading_minus_like_t(capsys):
 
 # An integer option: a small value, in range or not, or the literal LONG.
 INTEGERS = st.one_of(st.integers(-1, 6), st.just(LONG))
+# An epsilon0 small enough that the count of graph solves passes sys.maxsize.
+TINY = "1/1" + "0" * 30
 
 
 @st.composite
@@ -223,7 +250,7 @@ def requests(draw):
             [Fraction(1, k) for k in range(1, 11)] + [Fraction(0), Fraction(-1, 2), Fraction(3)]
         ))
         mistake = not 0 < epsilon0 <= 2
-        argv += ["--epsilon0", draw(st.sampled_from([str(epsilon0), f"1/{LONG}"]))]
+        argv += ["--epsilon0", draw(st.sampled_from([str(epsilon0), TINY, f"1/{LONG}"]))]
         integer("--isotropy", 1)
     elif command == "an-blowups":
         integer("--n", 1)
@@ -272,6 +299,7 @@ def _wide(*argv):
 @example((["an-blowups", "--n", LONG], False))
 @example((["an-blowups", "--n", "1", "--bound", LONG], False))
 @example((["enumerate", "--epsilon0", "1", "--isotropy", LONG], False))
+@example((["enumerate", "--epsilon0", TINY, "--isotropy", "1"], False))
 @example((["tjurina", "--family-n", LONG], False))
 @example((["paper-check"], False))
 def test_main_exits_with_a_code_and_prints_nothing_on_failure(request):

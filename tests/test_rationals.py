@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conesing.errors import DomainError, SingularMatrixError, number_text
+from conesing.errors import MAX_PRINTED_DIGITS, DomainError, SingularMatrixError, number_text
 from conesing.rationals import (
     hj_expand,
     hj_length,
@@ -75,15 +75,20 @@ def test_parse_integer_above_the_digit_limit_is_a_domain_error():
 
 
 def test_number_text_counts_the_digits_it_cannot_print():
-    limit = sys.get_int_max_str_digits()
+    # a numerator or denominator of more than 40 digits is named by its count
+    assert MAX_PRINTED_DIGITS == 40
     assert number_text(Fraction(-7, 3)) == "-7/3"
-    assert number_text(10**limit - 1) == "9" * limit
-    for k in range(limit, limit + 40):  # around each power of ten
-        assert number_text(10**k) == f"<{k + 1} digits>"
-        assert number_text(10**k - 1) == (f"<{k} digits>" if k > limit else "9" * k)
-        assert number_text(-(10**k)) == f"<{k + 1} digits>"
+    assert number_text(10**40 - 1) == "9" * 40
+    assert number_text(Fraction(-1, 10**40 - 1)) == "-1/" + "9" * 40
+    for k in range(1, 80):  # around each power of ten
+        assert number_text(10**k) == (f"<{k + 1} digits>" if k >= 40 else str(10**k))
+        assert number_text(10**k - 1) == (f"<{k} digits>" if k > 40 else "9" * k)
+        assert number_text(-(10**k)) == (f"<{k + 1} digits>" if k >= 40 else str(-(10**k)))
+    assert number_text(Fraction(1, 10**40)) == "<1/41 digits>"
+    assert number_text(Fraction(10**40 + 1, 3)) == "<41/1 digits>"
+    limit = sys.get_int_max_str_digits()  # above the limit of str(), too
+    assert number_text(10**limit) == f"<{limit + 1} digits>"
     assert number_text(Fraction(1, 10**limit)) == f"<1/{limit + 1} digits>"
-    assert number_text(Fraction(10**limit + 1, 3)) == f"<{limit + 1}/1 digits>"
 
 
 def test_hj_expand_examples():
