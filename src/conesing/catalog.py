@@ -14,8 +14,8 @@ is skipped.  The central log discrepancy is 1/r = room / (isotropy deg D)
 and the mld is at most 1/r, so with T = N deg D the candidates of a klt
 shape are exactly the m with 0 < T <= room N / (epsilon0 isotropy): the
 lower end is ampleness, the upper end is 1/r >= epsilon0.  Every candidate
-walked is one integer solve of the shape's graph, whose chains are expanded
-once per branch (q, beta) and call.  The walk is refused with a DomainError
+walked is one integer solve of the graph of its Seifert form, whose chains
+are expanded once per candidate.  The walk is refused with a DomainError
 above MAX_CANDIDATES solves, counted before the first.
 
 The walk builds no divisor, cone or entry objects: each entry kept is a
@@ -35,7 +35,6 @@ from . import cones, resolution
 from .cones import ConeTriple
 from .divisors import QDivisorP1, SeifertData
 from .errors import number_text, refuse_above
-from .rationals import hj_expand
 
 # Most graph solves enumerate_catalog makes for one (epsilon0, N); above it
 # the request is refused before the first.  (1/1000, 6) solves 19501.
@@ -123,13 +122,8 @@ def enumerate_catalog(epsilon0: Fraction, n_isotropy: int) -> tuple[CatalogRow, 
     solves = sum(max(0, parts.stop - parts.start) for *_, parts in walk)
     refuse_above(solves, MAX_CANDIDATES, subject, "graph solves")
 
-    expansions: dict[tuple[int, int], tuple[int, ...]] = {}
     found: list[tuple[int, Fraction, CatalogRow]] = []
     for (r0, r1, r2), branches, isotropy, parts in walk:
-        for branch in branches:
-            if branch not in expansions:
-                expansions[branch] = tuple(hj_expand(*branch))
-        chains = tuple(expansions[branch] for branch in branches)
         # str(polarization), written from the residues: the fractional parts
         # at 0 and 1, then the coefficient at infinity when it is not 0
         fixed = ",".join(
@@ -137,13 +131,13 @@ def enumerate_catalog(epsilon0: Fraction, n_isotropy: int) -> tuple[CatalogRow, 
         )
         head = fixed + "," if fixed else ""
         for m in parts:
-            b = len(branches) + m
-            report = resolution.discrepancies(resolution.DualGraph(b, chains))
+            seifert = SeifertData(len(branches) + m, branches)
+            report = resolution.discrepancies(resolution.DualGraph(seifert))
             if report.mld < epsilon0:
                 continue
             top = r2 + n_isotropy * m
             text = f"{head}inf:{Fraction(top, n_isotropy)}" if top else fixed
-            row = CatalogRow(text, SeifertData(b, branches), report.mld,
+            row = CatalogRow(text, seifert, report.mld,
                              1 / report.log_discrepancies[0], isotropy, report.canonical_index)
             # T = N deg D orders by degree, N being fixed; rows with the same
             # T and mld order by their text, the first field of a row

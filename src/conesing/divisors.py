@@ -206,6 +206,3 @@ class SeifertData:
         return self.b - sum(
             (Fraction(beta, alpha) for alpha, beta in self.branches), Fraction(0)
         )
-
-    def branch_multiset(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.branches))

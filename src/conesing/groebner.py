@@ -167,7 +167,7 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Poly:
             elif name not in index:
                 raise parse_error(text, factor.start(), "unknown variable in")
             elif power < 1:
-                raise ValueError("exponents must be positive integers")
+                raise parse_error(text, factor.start(), "zero exponent in")
             else:
                 exponents[index[name]] += power
             if not after[1]:

@@ -10,23 +10,25 @@ is contractible iff deg = b - sum beta_i/alpha_i > 0 (Orlik-Wagreich), the
 central curve has a_0 = (2 - sum (1 - 1/alpha_i)) / deg, and each chain
 follows from a_0 by a forward recurrence that must end at 1, an exact
 self-check.  For an lc germ the minimum over the graph is its minimal log
-discrepancy.
+discrepancy.  A graph is stored as its Seifert integers; each chain is
+expanded from its branch on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
 
 from .divisors import SeifertData
-from .errors import NotContractible, number_text, refuse_above
+from .errors import NotContractible, refuse_above
 from .rationals import hj_expand, hj_length
 # Unused here; benchmarks/selftest/test_benchmark.py looks it up on this module.
 from .rationals import solve_linear  # noqa: F401
 
-# Most nodes build_graph expands; a larger graph is refused before any chain
-# is built.  inf:1/100000 has 100000 nodes.  The run-length mld path of
+# Most nodes build_graph accepts; a larger graph is refused before any chain
+# is expanded.  inf:1/100000 has 100000 nodes.  The run-length mld path of
 # ROADMAP item 6 would answer mld at any chain length without the node list;
 # until then mld shares this cap with resolve.
 MAX_GRAPH_NODES = 200_000
@@ -34,29 +36,26 @@ MAX_GRAPH_NODES = 200_000
 
 @dataclass(frozen=True)
 class DualGraph:
-    """Star-shaped dual graph: a central curve E_0 with E_0^2 = -b and one
-    Hirzebruch-Jung chain per branch.  ``chains[k]`` lists the c's
-    (E^2 = -c) of branch k, starting from the curve that meets E_0.
+    """Star-shaped dual graph of Seifert data (b; (alpha_k, beta_k)): a
+    central curve E_0 with E_0^2 = -b and one Hirzebruch-Jung chain per
+    branch.  ``chains[k]`` lists the c's (E^2 = -c) of branch k, the
+    expansion of alpha_k/beta_k, starting from the curve that meets E_0.
 
     Nodes are numbered E_0 first, then each chain in order.
     """
 
-    b: int
-    chains: tuple[tuple[int, ...], ...] = ()
+    seifert: SeifertData
 
     central_index = 0
 
-    def __post_init__(self):
-        if self.b < 1:
-            raise ValueError(f"need b >= 1, got {number_text(self.b)}")
-        if any(c < 2 for chain in self.chains for c in chain):
-            least = min(c for chain in self.chains for c in chain)
-            raise ValueError(f"need every c >= 2, got {number_text(least)}")
+    @cached_property
+    def chains(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(hj_expand(alpha, beta)) for alpha, beta in self.seifert.branches)
 
     @property
     def nodes(self) -> tuple[int, ...]:
         """Self-intersections, in node order."""
-        return (-self.b, *(-c for chain in self.chains for c in chain))
+        return (-self.seifert.b, *(-c for chain in self.chains for c in chain))
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -65,7 +64,7 @@ class DualGraph:
         starts = tuple(accumulate(map(len, self.chains), initial=1))
         spans = tuple(zip(starts, starts[1:]))
         return (
-            *((0, start) for start, end in spans if start < end),
+            *((0, start) for start, _ in spans),
             *((i, i + 1) for start, end in spans for i in range(start, end - 1)),
         )
 
@@ -94,10 +93,7 @@ def build_graph(seifert: SeifertData) -> DualGraph:
     """
     nodes = 1 + sum(hj_length(alpha, beta) for alpha, beta in seifert.branches)
     refuse_above(nodes, MAX_GRAPH_NODES, "resolution graph has", "nodes")
-    return DualGraph(
-        seifert.b,
-        tuple(tuple(hj_expand(alpha, beta)) for alpha, beta in seifert.branches),
-    )
+    return DualGraph(seifert)
 
 
 def discrepancies(graph: DualGraph) -> DiscrepancyReport:
@@ -105,13 +101,13 @@ def discrepancies(graph: DualGraph) -> DiscrepancyReport:
     the lcm of the discrepancy denominators (the canonical index, by the
     numerical Q-Cartier criterion valid for these rational singularities).
 
-    Each chain c_1, ..., c_L is the Hirzebruch-Jung expansion of some
-    alpha/beta, recovered from the far end by (alpha, beta) <- (c*alpha -
-    beta, alpha).  The graph is negative definite iff deg = b - sum
-    beta/alpha > 0 (Orlik-Wagreich); otherwise NotContractible.  The central
-    curve has a_0 = (2 - sum (1 - 1/alpha)) / deg, the first curve of a chain
-    a_1 = (beta a_0 + 1) / alpha, and the adjunction equation of curve k is
-    the recurrence a_{k+1} = c_k a_k - a_{k-1}.  Past the far end the value
+    Each chain c_1, ..., c_L is the Hirzebruch-Jung expansion of its
+    branch (alpha, beta) of the graph's Seifert data.  The graph is negative
+    definite iff deg = b - sum beta/alpha > 0 (Orlik-Wagreich); otherwise
+    NotContractible, before any chain is expanded.  The central curve has
+    a_0 = (2 - sum (1 - 1/alpha)) / deg, the first curve of a chain a_1 =
+    (beta a_0 + 1) / alpha, and the adjunction equation of curve k is the
+    recurrence a_{k+1} = c_k a_k - a_{k-1}.  Past the far end the value
     must be a_{L+1} = 1; that end value is checked exactly.
 
     Everything is integer arithmetic: deg and the numerator of a_0 are taken
@@ -120,14 +116,9 @@ def discrepancies(graph: DualGraph) -> DiscrepancyReport:
     c's are integers, so every a_k of a chain lies in Z a_0 + Z a_1, and the
     canonical index is the lcm of den(a_0) and each chain's den(a_1).
     """
-    branches = []
-    for chain in graph.chains:
-        alpha, beta = 1, 0
-        for c in reversed(chain):
-            alpha, beta = c * alpha - beta, alpha
-        branches.append((alpha, beta))
+    branches = graph.seifert.branches
     common = lcm(*(alpha for alpha, _ in branches))
-    degree = graph.b * common - sum(beta * (common // alpha) for alpha, beta in branches)
+    degree = graph.seifert.b * common - sum(beta * (common // alpha) for alpha, beta in branches)
     if degree <= 0:
         raise NotContractible("intersection matrix is not negative definite")
     room = (2 - len(branches)) * common + sum(common // alpha for alpha, _ in branches)

@@ -86,7 +86,7 @@ def elimination_discrepancies(graph: DualGraph) -> DiscrepancyReport:
     definite iff every one of them is negative.  The answer is re-checked
     on every node.
     """
-    b = graph.b
+    b = graph.seifert.b
     d0, r0 = Fraction(-b), Fraction(b - 2)
     eliminated = []
     for chain in graph.chains:

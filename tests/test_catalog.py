@@ -118,7 +118,7 @@ def test_dedup_soundness():
         entries = enumerate_catalog(epsilon0, n)
         assert len(forms(entries)) == len(entries)
         kept = {
-            (entry.seifert.b, entry.seifert.branch_multiset()) for entry in entries
+            (entry.seifert.b, tuple(sorted(entry.seifert.branches))) for entry in entries
         }
         # every candidate surviving the filters has the seifert data of a kept entry
         for divisor in _full_grid(epsilon0, n):
@@ -127,7 +127,7 @@ def test_dedup_soundness():
             if not is_member(ConeTriple(divisor), epsilon0, n):
                 continue
             data = divisor.normalize_seifert()
-            assert (data.b, data.branch_multiset()) in kept
+            assert (data.b, tuple(sorted(data.branches))) in kept
 
 
 def test_catalog_walks_each_canonical_form_once(monkeypatch):
@@ -178,19 +178,21 @@ def test_catalog_walks_each_canonical_form_once(monkeypatch):
             assert any(d.coeff(ZERO) == d.coeff(ONE) != 0 for d in divisors)
 
 
-def test_walk_expands_each_branch_once(monkeypatch):
-    # (1/6, 6) solves 117 candidates over 5 distinct branches (q, beta)
-    true_expand = catalog.hj_expand
-    calls = []
+def test_walk_keeps_the_seifert_data_it_solved(monkeypatch):
+    # (1/6, 6) solves 117 candidates; each kept row holds the very
+    # SeifertData its graph was solved from, not a copy built again
+    true_solver = resolution.discrepancies
+    solved = []
 
-    def counting(alpha, beta):
-        calls.append((alpha, beta))
-        return true_expand(alpha, beta)
+    def recording(graph):
+        solved.append(graph.seifert)
+        return true_solver(graph)
 
-    monkeypatch.setattr(catalog, "hj_expand", counting)
+    monkeypatch.setattr(resolution, "discrepancies", recording)
     rows = enumerate_catalog(Fraction(1, 6), 6)
-    assert len(calls) == len(set(calls)) == 5
-    assert set(calls) == {branch for row in rows for branch in row.seifert.branches}
+    assert len(solved) == 117
+    solved_ids = {id(seifert) for seifert in solved}  # all alive, so distinct
+    assert rows and all(id(row.seifert) in solved_ids for row in rows)
 
 
 def test_walk_holds_no_divisor_objects():

@@ -85,7 +85,10 @@ def test_parser_refuses_long_garbage_in_bounded_time(bad, variables):
     ("x*" * 50_000 + "?", None, "cannot parse '?' at offset 100000"),
     ("x^2+1/0*y", None, "zero denominator in '1/0*y' at offset 4"),
     ("y+z", ("y",), "unknown variable in 'z' at offset 2"),
-], ids=["juxtaposed", "spaced-power", "factors", "zero-denominator", "unknown-variable"])
+    ("x^0+y^2", None, "zero exponent in 'x^0+y^2' at offset 0"),
+    ("x^2+y^00", None, "zero exponent in 'y^00' at offset 4"),
+], ids=["juxtaposed", "spaced-power", "factors", "zero-denominator", "unknown-variable",
+        "zero-exponent", "zero-exponent-digits"])
 def test_parser_error_names_where_reading_stopped(bad, variables, message):
     with pytest.raises(ValueError) as info:
         parse_polynomial(bad, variables)

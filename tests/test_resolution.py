@@ -18,6 +18,7 @@ from conesing.resolution import (
     discrepancies,
 )
 from reference import (
+    continued_fraction_value,
     elimination_discrepancies,
     intersection_matrix,
     mld_blowup_oracle,
@@ -36,7 +37,8 @@ def single_node(d: int) -> DualGraph:
 
 def test_build_graph_single_node():
     graph = single_node(5)
-    assert graph == DualGraph(5)
+    assert graph == DualGraph(SeifertData(5))
+    assert graph.chains == ()
     assert graph.nodes == (-5,)
     assert graph.edges == ()
     assert graph.central_index == 0
@@ -44,7 +46,7 @@ def test_build_graph_single_node():
 
 def test_build_graph_a3_chain():
     graph = build_graph(SeifertData(2, ((2, 1), (2, 1))))
-    assert graph == DualGraph(2, ((2,), (2,)))
+    assert graph.chains == ((2,), (2,))
     assert graph.nodes == (-2, -2, -2)
     assert graph.edges == ((0, 1), (0, 2))
 
@@ -58,14 +60,14 @@ def test_build_graph_e8_star():
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        DualGraph(0)
-    with pytest.raises(ValueError):
-        DualGraph(2, ((2, 1),))
+        DualGraph(SeifertData(2, ((2, 2),)))
+    with pytest.raises(NotContractible):
+        discrepancies(DualGraph(SeifertData(0)))
 
 
 def test_intersection_matrix():
     assert intersection_matrix(single_node(3)) == [[-3]]
-    chain = DualGraph(2, ((2,),))
+    chain = DualGraph(SeifertData(2, ((2, 1),)))
     assert intersection_matrix(chain) == [[-2, 1], [1, -2]]
 
 
@@ -135,7 +137,7 @@ def test_central_node_identity_across_triples():
 
 def test_blowup_oracle_examples():
     assert mld_blowup_oracle(single_node(4), 3) == Fraction(1, 2)
-    chain = DualGraph(2, ((2,), (2,)))  # the center in the middle of a chain
+    chain = DualGraph(SeifertData(2, ((2, 1), (2, 1))))  # the center in the middle of a chain
     assert mld_blowup_oracle(chain, 3) == 1
     assert mld_blowup_oracle(single_node(1), 5) == 2
 
@@ -243,16 +245,23 @@ def test_tree_solve_matches_dense_oracle(data):
 
 
 @st.composite
-def dual_graphs(draw) -> DualGraph:
-    """0 to 5 chains of up to 6 curves; small b, so graphs that are not lc
-    (some a < 0) or not contractible (degree <= 0) are drawn often."""
+def dual_graphs(draw) -> tuple[DualGraph, tuple[tuple[int, ...], ...]]:
+    """0 to 5 chains of up to 6 curves, with the graph of the Seifert data
+    they evaluate to; small b, so graphs that are not lc (some a < 0) or not
+    contractible (degree <= 0) are drawn often."""
     chains = draw(st.lists(st.lists(st.integers(2, 7), min_size=1, max_size=6), max_size=5))
-    return DualGraph(draw(st.integers(1, 5)), tuple(map(tuple, chains)))
+    values = map(continued_fraction_value, chains)
+    branches = tuple((value.numerator, value.denominator) for value in values)
+    graph = DualGraph(SeifertData(draw(st.integers(1, 5)), branches))
+    return graph, tuple(map(tuple, chains))
 
 
 @settings(max_examples=400, deadline=None)
 @given(dual_graphs())
-def test_closed_form_matches_elimination(graph):
+def test_closed_form_matches_elimination(drawn):
+    graph, chains = drawn
+    # the oracle reads graph.chains: they must be the chains drawn
+    assert graph.chains == chains
     try:
         expected = elimination_discrepancies(graph)
     except NotContractible:
